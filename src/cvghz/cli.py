@@ -61,6 +61,11 @@ def set_to_dict(op_set: OperatorSet) -> dict:
     return data
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; JSON true/false load as bool, a subclass of int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def set_from_dict(data: dict) -> OperatorSet:
     if not isinstance(data, dict):
         raise InputError("operator-set file must contain a JSON object")
@@ -69,9 +74,9 @@ def set_from_dict(data: dict) -> OperatorSet:
             raise InputError(f"missing field {field!r}")
     d = data["d"]
     parties = data["parties"]
-    if not isinstance(d, int) or d < 2:
+    if not _is_int(d) or d < 2:
         raise InputError(f"field 'd' must be an integer >= 2, got {d!r}")
-    if not isinstance(parties, int) or parties < 1:
+    if not _is_int(parties) or parties < 1:
         raise InputError(f"field 'parties' must be a positive integer")
     ops = data["operators"]
     if not isinstance(ops, list) or not ops:
@@ -84,7 +89,7 @@ def set_from_dict(data: dict) -> OperatorSet:
         pairs = []
         for j, pair in enumerate(row):
             if (not isinstance(pair, list) or len(pair) != 2
-                    or not all(isinstance(v, int) for v in pair)):
+                    or not all(map(_is_int, pair))):
                 raise InputError(
                     f"operator {i}, party {j}: entry must be an "
                     f"[m, n] integer pair, got {pair!r}")
@@ -222,11 +227,6 @@ def cmd_search(args) -> int:
 
 def cmd_oracle(args) -> int:
     op_set = load_set(args.set, args.file)
-    dim = op_set.params.d ** op_set.n_parties
-    if dim > args.max_dim:
-        print(f"refused: dense dimension {dim} exceeds ceiling "
-              f"{args.max_dim}", file=sys.stderr)
-        return EXIT_REFUSED
     report = oracle_mod.check_set(op_set, dim_ceiling=args.max_dim)
     sym = paradox.verify(op_set)
     lines = {

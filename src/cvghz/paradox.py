@@ -196,18 +196,38 @@ def canonical_rows(rows: Iterable[tuple[tuple[int, int], ...]],
     Quotient group: party relabeling, operator reordering, and joint
     (m, n) -> (-m, -n) negation per party. All three preserve pairwise
     commutation phases, column-sum triviality and the product phase.
+
+    The minimum's first row is the least row any relabeling can produce,
+    R0 = min over rows of sorted(min(e, -e) for e in row). So only the
+    relabelings that map some row onto R0 are tried: parties move only
+    among positions of R0 holding their folded entry, and a party's sign
+    is free only where that row's entry is (0, 0).
     """
     rows = tuple(rows)
+    if not rows:
+        return ()
+    neg_rows = [tuple([(-m, -n) for m, n in row]) for row in rows]
+    # cols[s][p]: party p's entries down the rows, negated when s is 1
+    cols = (list(zip(*rows)), list(zip(*neg_rows)))
+    folded = [list(map(min, row, neg)) for row, neg in zip(rows, neg_rows)]
+    keys = [sorted(f) for f in folded]
+    r0 = min(keys)
     best = None
-    for perm in itertools.permutations(range(n_parties)):
-        permuted = [tuple(row[p] for p in perm) for row in rows]
-        for signs in itertools.product((1, -1), repeat=n_parties):
-            cand = tuple(sorted(
-                tuple((s * m, s * n) for s, (m, n) in zip(signs, row))
-                for row in permuted))
-            if best is None or cand < best:
-                best = cand
-    return best
+    # one start per distinct row that reaches R0; equal rows give equal specs
+    for i in {rows[i]: i for i, key in enumerate(keys) if key == r0}.values():
+        blocks: dict = {}
+        for p, f in enumerate(folded[i]):
+            blocks.setdefault(f, []).append(p)
+        signs = [(0, 1) if e == (0, 0) else (e != f,)
+                 for e, f in zip(rows[i], folded[i])]
+        for perm in itertools.product(*[itertools.permutations(blocks[f])
+                                        for f in sorted(blocks)]):
+            order = [p for block in perm for p in block]
+            for sign in itertools.product(*[signs[p] for p in order]):
+                cand = sorted(zip(*[cols[s][p] for p, s in zip(order, sign)]))
+                if best is None or cand < best:
+                    best = cand
+    return tuple(best)
 
 
 def canonicalize(op_set: OperatorSet) -> OperatorSet:
@@ -241,16 +261,14 @@ def search(params: LatticeParams, n_parties: int, n_operators: int,
     if n_operators < 1 or n_parties < 1:
         raise ValueError("n_operators and n_parties must be >= 1")
     d = params.d
-    pairs = sorted(set(map(tuple, allowed_pairs))) if allowed_pairs \
-        else _default_pairs(max_exponent)
+    pairs = sorted(set(map(tuple, allowed_pairs))) \
+        if allowed_pairs is not None else _default_pairs(max_exponent)
     for m, n in pairs:
         if max(abs(m), abs(n)) > max_exponent:
             raise ValueError(f"allowed pair {(m, n)} exceeds max_exponent")
 
-    zero_row = ((0, 0),) * n_parties
-    rows = sorted(set(itertools.product(pairs, repeat=n_parties))
-                  - {zero_row})
-    n_rows = len(rows)
+    # every choice of one pair per party except the identity row
+    n_rows = len(pairs) ** n_parties - ((0, 0) in pairs)
     if n_rows == 0 or n_operators < 2:
         return []
 
@@ -258,8 +276,18 @@ def search(params: LatticeParams, n_parties: int, n_operators: int,
     if estimate > space_ceiling:
         raise SearchSpaceError(estimate, space_ceiling)
 
+    # the product of sorted distinct pairs is already sorted and distinct
+    zero_row = ((0, 0),) * n_parties
+    rows = [r for r in itertools.product(pairs, repeat=n_parties)
+            if r != zero_row]
     flat = [tuple(v for pair in row for v in pair) for row in rows]
-    flat_index = {f: i for i, f in enumerate(flat)}
+    # Balanced mixed-radix code of a flat exponent vector: linear, and
+    # injective on vectors with every entry in [-span, span], which covers
+    # every partial column sum of up to n_operators rows.
+    span = max_exponent * n_operators
+    weights = [(2 * span + 1) ** c for c in range(2 * n_parties)]
+    code = [sum(map(int.__mul__, f, weights)) for f in flat]
+    code_index = {c: i for i, c in enumerate(code)}
 
     # Commutation bitmasks: bit j of comm[i] set iff rows i and j commute.
     comm = [0] * n_rows
@@ -304,13 +332,13 @@ def search(params: LatticeParams, n_parties: int, n_operators: int,
             # last free row: the completion is forced, so skip the window
             # check (the lookup rejects out-of-alphabet completions) and
             # touch the candidate mask only on a hit
+            target = -sum(map(int.__mul__, sums, weights))
             mask = start_mask
             while mask:
                 lsb = mask & -mask
                 i = lsb.bit_length() - 1
                 mask ^= lsb
-                forced = tuple(-s - v for s, v in zip(sums, flat[i]))
-                fi = flat_index.get(forced)
+                fi = code_index.get(target - code[i])
                 if fi is not None and fi >= i \
                         and (start_mask & comm[i]) >> fi & 1:
                     _stack.append(i)

@@ -32,6 +32,7 @@ class TestFileFormat:
         lambda d: d.update(operators=[]),
         lambda d: d["operators"][0].pop(),
         lambda d: d["operators"][0].__setitem__(0, [1, "x"]),
+        lambda d: d["operators"][0].__setitem__(0, [True, False]),
     ])
     def test_malformed_rejected(self, mutation):
         data = cli.set_to_dict(builtin("v4"))
@@ -73,6 +74,16 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--file", str(path))
         assert code == 2
         assert "line" in err
+
+    def test_boolean_exponents_exit_two(self, capsys, tmp_path):
+        # JSON true/false load as Python bools, which are ints
+        path = tmp_path / "bools.json"
+        path.write_text(json.dumps(
+            {"d": 2, "parties": True, "operators": [[[True, False]]]}))
+        code, out, err = run(capsys, "verify", "--file", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("input error: ")
 
     def test_unknown_builtin_exit_two(self, capsys):
         code, _, _ = run(capsys, "verify", "--set", "nope")
@@ -123,10 +134,11 @@ class TestOracle:
         assert float(data["product_deviation"]) < 1e-10
 
     def test_dimension_refusal(self, capsys):
-        code, _, err = run(capsys, "oracle", "--set", "w6",
-                           "--max-dim", "512")
+        code, out, err = run(capsys, "oracle", "--set", "w6",
+                             "--max-dim", "512")
         assert code == 3
-        assert "refused" in err
+        assert out == ""
+        assert err == "refused: dense dimension 1024 exceeds ceiling 512\n"
 
     def test_identity_set_trivial_pass(self, capsys, tmp_path):
         path = tmp_path / "id.json"

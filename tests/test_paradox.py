@@ -1,10 +1,14 @@
 """Paradox verdicts, LHV evaluation, canonicalization and small searches."""
 
 import cmath
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvghz.paradox import (LhvAssignment, OperatorSet, SearchSpaceError,
                            builtin, canonical_rows, canonicalize,
@@ -134,7 +138,56 @@ class TestLhv:
             lhv_value(s, LhvAssignment((0.0,), (0.0,)))
 
 
+def reference_canonical_rows(rows, n_parties):
+    """Brute-force canonical form: minimum over all n!*2^n relabelings."""
+    rows = tuple(rows)
+    best = None
+    for perm in itertools.permutations(range(n_parties)):
+        permuted = [tuple(row[p] for p in perm) for row in rows]
+        for signs in itertools.product((1, -1), repeat=n_parties):
+            cand = tuple(sorted(
+                tuple((s * m, s * n) for s, (m, n) in zip(signs, row))
+                for row in permuted))
+            if best is None or cand < best:
+                best = cand
+    return best
+
+
+@st.composite
+def exponent_matrices(draw):
+    """(rows, n_parties) with 1-5 parties and 1-6 rows.
+
+    Entries come from a small per-example alphabet that always holds
+    (0, 0), so tied entries and sign-free zero entries are common.
+    """
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 6))
+    pair = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+    alphabet = draw(st.lists(pair, min_size=1, max_size=4)) + [(0, 0)]
+    entry = st.sampled_from(alphabet)
+    rows = draw(st.lists(st.tuples(*[entry] * n), min_size=k, max_size=k))
+    return rows, n
+
+
 class TestCanonicalization:
+    @settings(max_examples=300, deadline=None)
+    @given(exponent_matrices())
+    def test_matches_brute_force(self, case):
+        rows, n = case
+        assert canonical_rows(rows, n) == reference_canonical_rows(rows, n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(exponent_matrices(), st.data())
+    def test_invariant_under_relabeling(self, case, data):
+        rows, n = case
+        perm = data.draw(st.permutations(range(n)))
+        signs = data.draw(st.lists(st.sampled_from((1, -1)),
+                                   min_size=n, max_size=n))
+        relabeled = [tuple((s * row[p][0], s * row[p][1])
+                           for s, p in zip(signs, perm)) for row in rows]
+        relabeled = data.draw(st.permutations(relabeled))
+        assert canonical_rows(relabeled, n) == canonical_rows(rows, n)
+
     def test_idempotent(self):
         s = canonicalize(builtin("v4"))
         assert canonicalize(s).operators == s.operators
@@ -181,6 +234,16 @@ class TestSearch:
         with pytest.raises(SearchSpaceError) as exc:
             search(LatticeParams(2), 4, 6, 2, space_ceiling=1e6)
         assert exc.value.estimate > 1e6
+
+    def test_refusal_decided_before_rows_are_built(self):
+        # 49^6 - 1 rows: building them would take far longer than this
+        start = time.perf_counter()
+        with pytest.raises(SearchSpaceError):
+            search(LatticeParams(2), 6, 6, 3, space_ceiling=1e6)
+        assert time.perf_counter() - start < 1.0
+
+    def test_empty_alphabet_finds_nothing(self):
+        assert search(LatticeParams(2), 2, 2, 1, allowed_pairs=[]) == []
 
     def test_allowed_pairs_must_fit_bound(self):
         with pytest.raises(ValueError):
