@@ -1,8 +1,8 @@
 """Continuous-variable GHZ paradoxes from lattice Weyl operators.
 
 Exact rational-phase operator algebra (`weyl`), paradox verdicts, LHV
-evaluation and exhaustive search (`paradox`), a dense clock-and-shift
-matrix oracle (`oracle`), Gaussian comb-state simulation (`states`) and a
+evaluation and exhaustive search (`paradox`), a clock-and-shift matrix
+oracle (`oracle`), Gaussian comb-state simulation (`states`) and a
 command-line front end (`cli`).
 """
 

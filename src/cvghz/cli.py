@@ -338,14 +338,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="refuse enumerations estimated above this size")
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("oracle", help="dense-matrix numerical re-check")
+    p = sub.add_parser("oracle", help="clock-and-shift matrix numerical "
+                       "re-check")
     p.add_argument("--set", help="built-in set name (v4 or w6)")
     p.add_argument("--file", help="operator-set JSON file")
     p.add_argument("--max-dim", type=int,
                    default=oracle_mod.DEFAULT_DIM_CEILING)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--seed", type=int, default=0,
-                   help="eigensolver combination seed")
+                   help="seed of the joint-eigenvector start vector")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_oracle)
 

@@ -1,27 +1,28 @@
-"""Dense clock-and-shift matrix oracle for the lattice Weyl algebra.
+"""Clock-and-shift matrix oracle for the lattice Weyl algebra.
 
 Every lattice Weyl word has a faithful image (up to phases that are d-th
 roots of unity, which is all the symbolic algebra ever produces) in the
 d-dimensional generalized Pauli group: X maps to the clock matrix
 diag(1, w, w^2, ...) with w = exp(2*pi*i/d) and Y to the cyclic shift
-|j> -> |j+1>, so that X Y = w Y X. This module re-verifies every symbolic
-claim numerically on dense d^n x d^n matrices.
+|j> -> |j+1>, so that X Y = w Y X. Each image is a generalized permutation
+matrix, so every check below costs O(D) in the dimension D = d^n.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
+from functools import reduce
+from itertools import accumulate, combinations
 
 import numpy as np
 
-from .paradox import OperatorSet, verify
-from .weyl import WeylWord, is_scalar, product
+# perfbench/spans.py patches `cvghz.oracle.verify`; nothing here calls it.
+from .paradox import OperatorSet, verify  # noqa: F401
+from .weyl import LatticeParams, WeylWord, is_scalar, product
 
 DEFAULT_DIM_CEILING = 4096
 
 
 class DimensionCeilingError(ValueError):
-    """Raised when d^n_parties exceeds the dense-matrix ceiling."""
+    """Raised when the dimension d^n_parties exceeds the ceiling."""
 
     def __init__(self, dim: int, ceiling: int):
         self.dim = dim
@@ -31,43 +32,76 @@ class DimensionCeilingError(ValueError):
 
 
 def clock_shift(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The d x d clock matrix X and shift matrix Y with X Y = w Y X.
+    """The d x d clock X = diag(w^j) and shift Y: |j> -> |j+1 mod d>."""
+    params = LatticeParams(d)
+    return (represent(WeylWord(params, ((1, 0),))),
+            represent(WeylWord(params, ((0, 1),))))
 
-    X = diag(w^j) is the image of the position-phase translation
-    exp(i*a0*x); Y, with Y|j> = |j+1 mod d>, is the image of the momentum
-    translation. The pair matches the normal-form convention of
-    `cvghz.weyl`: (m, n) maps to X^m Y^n.
+
+@dataclass(frozen=True, eq=False)
+class Monomial:
+    """D x D matrix whose column k holds coeff[k] at row image[k] only."""
+
+    image: np.ndarray  # intp, a permutation of range(D)
+    coeff: np.ndarray  # complex128
+
+    @classmethod
+    def scalar(cls, dim: int, value: complex) -> "Monomial":
+        return cls(np.arange(dim), np.full(dim, value, dtype=complex))
+
+    def __matmul__(self, other: "Monomial") -> "Monomial":
+        return Monomial(self.image[other.image],
+                        other.coeff * self.coeff[other.image])
+
+    def dagger(self) -> "Monomial":
+        inverse = np.empty_like(self.image)
+        inverse[self.image] = np.arange(len(inverse))
+        return Monomial(inverse, self.coeff[inverse].conj())
+
+    def apply(self, vecs: np.ndarray) -> np.ndarray:
+        """self @ vecs, for a vector or the columns of a matrix."""
+        out = np.empty(vecs.shape, dtype=complex)
+        out[self.image] = (self.coeff * vecs.T).T
+        return out
+
+    def distance(self, other: "Monomial") -> float:
+        """Frobenius norm of self - other."""
+        sq = np.where(self.image == other.image,
+                      abs(self.coeff - other.coeff) ** 2,
+                      abs(self.coeff) ** 2 + abs(other.coeff) ** 2)
+        return float(np.sqrt(sq.sum()))
+
+
+def monomial(word: WeylWord,
+             dim_ceiling: int = DEFAULT_DIM_CEILING) -> Monomial:
+    """e^{2*pi*i*phase} times the tensor product of the parties' X^m Y^n.
+
+    Per site (party 0 is the leading digit), Y^n maps digit k to
+    k' = (k + n) mod d and X^m then multiplies by w^{m k'}.
     """
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
-    omega = np.exp(2j * np.pi / d)
-    clock = np.diag(omega ** np.arange(d))
-    shift = np.zeros((d, d), dtype=complex)
-    shift[(np.arange(d) + 1) % d, np.arange(d)] = 1.0
-    return clock, shift
-
-
-def _site_matrix(d: int, m: int, n: int) -> np.ndarray:
-    """X^m Y^n as a d x d matrix, built entrywise for any integer m, n."""
-    omega = np.exp(2j * np.pi / d)
-    mat = np.zeros((d, d), dtype=complex)
-    cols = np.arange(d)
-    rows_ = (cols + n) % d
-    mat[rows_, cols] = omega ** (rows_ * m)
-    return mat
-
-
-def represent(word: WeylWord,
-              dim_ceiling: int = DEFAULT_DIM_CEILING) -> np.ndarray:
-    """Dense matrix e^{2*pi*i*phase} kron_j X^{m_j} Y^{n_j}."""
     d = word.params.d
     dim = d ** word.n_parties
     if dim > dim_ceiling:
         raise DimensionCeilingError(dim, dim_ceiling)
-    mat = np.array([[word.phase.to_complex()]], dtype=complex)
+    image = power = np.zeros(1, dtype=np.intp)
     for m, n in word.exponents:
-        mat = np.kron(mat, _site_matrix(d, m, n))
-    return mat
+        shifted = (np.arange(d) + n) % d
+        image = (image[:, None] * d + shifted).ravel()
+        power = (power[:, None] + m * shifted).ravel() % d
+    omega = np.exp(2j * np.pi * np.arange(d) / d)
+    return Monomial(image, word.phase.to_complex() * omega[power])
+
+
+def represent(word: WeylWord,
+              dim_ceiling: int = DEFAULT_DIM_CEILING) -> np.ndarray:
+    """The word's image as a dense D x D matrix (tests and small D)."""
+    mon = monomial(word, dim_ceiling)
+    return mon.apply(np.eye(len(mon.image)))
+
+
+def _max_commutator_norm(mons: list[Monomial]) -> float:
+    return max(((a @ b).distance(b @ a) for a, b in combinations(mons, 2)),
+               default=0.0)
 
 
 @dataclass(frozen=True)
@@ -83,37 +117,20 @@ class OracleReport:
 def check_set(op_set: OperatorSet,
               dim_ceiling: int = DEFAULT_DIM_CEILING) -> OracleReport:
     """Numerically confirm commutation, unitarity and the symbolic product."""
-    mats = [represent(w, dim_ceiling) for w in op_set.operators]
-    dim = mats[0].shape[0]
-    eye = np.eye(dim)
-
-    max_comm = 0.0
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            max_comm = max(max_comm,
-                           np.linalg.norm(mats[i] @ mats[j]
-                                          - mats[j] @ mats[i]))
-    max_unit = max(np.linalg.norm(m @ m.conj().T - eye) for m in mats)
-
-    prod_mat = mats[0]
-    for m in mats[1:]:
-        prod_mat = prod_mat @ m
+    mons = [monomial(w, dim_ceiling) for w in op_set.operators]
+    eye = Monomial.scalar(len(mons[0].image), 1.0)
     prod_word = product(op_set.operators)
     phase = is_scalar(prod_word)
-    if phase is not None:
-        deviation = np.linalg.norm(prod_mat - phase.to_complex() * eye)
-        phase_turns = phase.numerator / phase.denominator
-    else:
-        deviation = np.linalg.norm(prod_mat - represent(prod_word,
-                                                        dim_ceiling))
-        phase_turns = float("nan")
     return OracleReport(
-        dimension=dim,
-        max_commutator_norm=float(max_comm),
-        product_deviation=float(deviation),
-        max_unitarity_defect=float(max_unit),
+        dimension=len(eye.image),
+        max_commutator_norm=_max_commutator_norm(mons),
+        product_deviation=reduce(Monomial.__matmul__, mons).distance(
+            monomial(prod_word, dim_ceiling)),
+        max_unitarity_defect=max((m @ m.dagger()).distance(eye)
+                                 for m in mons),
         product_is_scalar=phase is not None,
-        product_phase_turns=phase_turns,
+        product_phase_turns=(phase.numerator / phase.denominator
+                             if phase is not None else float("nan")),
     )
 
 
@@ -122,31 +139,33 @@ def joint_eigenvector(op_set: OperatorSet, seed: int = 0,
                       tol: float = 1e-8) -> tuple[np.ndarray, list[complex]]:
     """One simultaneous eigenvector of a commuting set, with its eigenvalues.
 
-    Diagonalizes a random (seeded) Hermitian combination of the Hermitian
-    and anti-Hermitian parts of the set's matrices; a generic combination
-    separates distinct joint eigenvalue tuples. Degenerate joint eigenspaces
-    are resolved arbitrarily.
+    Projects a seeded random vector onto an eigenspace of each image M in
+    turn: M^d = c is a scalar, so (1/d) sum_t lam^{-t} M^t projects onto the
+    eigenspace of each root lam of lam^d = c. The largest projection wins.
     """
-    report = verify(op_set)
-    if not report.is_commuting:
+    mons = [monomial(w, dim_ceiling) for w in op_set.operators]
+    if _max_commutator_norm(mons) >= tol:
         raise ValueError("operator set is not commuting")
-    mats = [represent(w, dim_ceiling) for w in op_set.operators]
+    d, dim = op_set.params.d, len(mons[0].image)
     rng = np.random.default_rng(seed)
-    for _ in range(8):
-        herm = np.zeros_like(mats[0])
-        for m in mats:
-            a, b = rng.normal(size=2)
-            herm += a * (m + m.conj().T) + b * 1j * (m - m.conj().T)
-        _, vecs = np.linalg.eigh(herm)
-        for col in range(vecs.shape[1]):
-            v = vecs[:, col]
-            vals = [complex(v.conj() @ m @ v) for m in mats]
-            resid = max(np.linalg.norm(m @ v - lam * v)
-                        for m, lam in zip(mats, vals))
-            if resid < tol:
-                return v, vals
-    raise RuntimeError("no joint eigenvector isolated; "
-                       "random-combination diagonalization failed")
+    vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    for mon in mons:
+        powers = list(accumulate([mon] * d, Monomial.__matmul__))  # M..M^d
+        c = complex(powers[-1].coeff[0])
+        if powers[-1].distance(Monomial.scalar(dim, c)) >= tol:
+            raise RuntimeError("an operator's d-th power is not a scalar")
+        images = np.array([vec] + [p.apply(vec) for p in powers[:-1]])
+        roots = c ** (1 / d) * np.exp(2j * np.pi * np.arange(d) / d)
+        projections = (roots[:, None] ** -np.arange(d) / d) @ images
+        best = projections[np.argmax(np.linalg.norm(projections, axis=1))]
+        vec = best / np.linalg.norm(best)
+    vals = [complex(np.vdot(vec, m.apply(vec))) for m in mons]
+    resid = max(np.linalg.norm(m.apply(vec) - lam * vec)
+                for m, lam in zip(mons, vals))
+    if resid >= tol:
+        raise RuntimeError("no joint eigenvector isolated; "
+                           f"projection residual {resid:.3g}")
+    return vec, vals
 
 
 def ghz_comb_eigenvalues(op_set: OperatorSet,
@@ -159,19 +178,15 @@ def ghz_comb_eigenvalues(op_set: OperatorSet,
     """
     if op_set.params.d != 2:
         raise ValueError("GHZ comb reference state is defined for d = 2")
-    up = np.array([1.0, 1j]) / np.sqrt(2)
-    down = np.array([1.0, -1j]) / np.sqrt(2)
-    up_all = np.array([1.0])
-    down_all = np.array([1.0])
+    up = np.ones(1)
     for _ in range(op_set.n_parties):
-        up_all = np.kron(up_all, up)
-        down_all = np.kron(down_all, down)
-    state = (up_all - down_all) / np.sqrt(2)
+        up = np.outer(up, np.array([1.0, 1j]) / np.sqrt(2)).ravel()
+    state = (up - up.conj()) / np.sqrt(2)  # down...down = conj(up...up)
     vals = []
     for w in op_set.operators:
-        m = represent(w)
-        lam = complex(state.conj() @ m @ state)
-        if np.linalg.norm(m @ state - lam * state) > tol:
+        image = monomial(w).apply(state)
+        lam = complex(np.vdot(state, image))
+        if np.linalg.norm(image - lam * state) > tol:
             raise ValueError("GHZ comb state is not a joint eigenvector "
                              "of the given set")
         vals.append(lam)

@@ -272,7 +272,9 @@ def search(params: LatticeParams, n_parties: int, n_operators: int,
     if n_rows == 0 or n_operators < 2:
         return []
 
-    estimate = float(binomial(n_rows + n_operators - 2, n_operators - 1))
+    # the DFS visits row multisets; the commutation masks cost n_rows^2
+    estimate = float(max(binomial(n_rows + n_operators - 2, n_operators - 1),
+                         n_rows ** 2))
     if estimate > space_ceiling:
         raise SearchSpaceError(estimate, space_ceiling)
 

@@ -103,7 +103,7 @@ def test_criterion_4_oracle_equivalence(capsys):
         assert report.max_unitarity_defect < 1e-10
         if name == "w6":
             assert report.dimension == 1024
-            assert elapsed < 60.0
+            assert elapsed < 1.0
         else:
             assert report.dimension == 8
     with capsys.disabled():

@@ -1,13 +1,34 @@
-"""Dense clock-and-shift matrix checks against the symbolic algebra."""
+"""Clock-and-shift matrix checks against the symbolic algebra."""
+
+import cmath
+import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvghz.oracle import (DimensionCeilingError, check_set, clock_shift,
-                          ghz_comb_eigenvalues, joint_eigenvector, represent)
-from cvghz.paradox import OperatorSet, builtin, set_from_rows
+                          ghz_comb_eigenvalues, joint_eigenvector, monomial,
+                          represent)
+from cvghz.paradox import OperatorSet, builtin, set_from_rows, verify
 from cvghz.weyl import (LatticeParams, RationalPhase, WeylWord,
                         commutation_phase, dagger, identity_word, multiply)
+
+
+def reference_represent(word):
+    """The dense construction: np.kron over parties of X^m Y^n."""
+    d = word.params.d
+    omega = np.exp(2j * np.pi / d)
+    mat = np.array([[word.phase.to_complex()]], dtype=complex)
+    for m, n in word.exponents:
+        site = np.zeros((d, d), dtype=complex)
+        cols = np.arange(d)
+        rows_ = (cols + n) % d
+        site[rows_, cols] = omega ** (rows_ * m)
+        mat = np.kron(mat, site)
+    return mat
 
 
 def random_word(rng, params, n_parties, max_exp=4):
@@ -46,6 +67,36 @@ class TestClockShift:
         w = WeylWord(p, ((2, 1),))
         expected = np.linalg.matrix_power(x, 2) @ y
         assert np.linalg.norm(represent(w) - expected) < 1e-12
+
+
+@st.composite
+def word_pairs(draw):
+    """Two words on one lattice: d in 2..5, 1-3 parties, exponents in
+    [-4, 4] and a random global phase in turns of 1/(2d)."""
+    d = draw(st.integers(2, 5))
+    n = draw(st.integers(1, 3))
+    pair = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+
+    def word():
+        exps = tuple(draw(st.lists(pair, min_size=n, max_size=n)))
+        return WeylWord(LatticeParams(d), exps,
+                        RationalPhase(draw(st.integers(0, 2 * d - 1)), 2 * d))
+    return word(), word()
+
+
+class TestMonomial:
+    @settings(max_examples=200, deadline=None)
+    @given(word_pairs())
+    def test_matches_dense_reference(self, words):
+        a, b = words
+        dense_a, dense_b = reference_represent(a), reference_represent(b)
+        assert np.linalg.norm(represent(a) - dense_a) < 1e-12
+        ma, mb = monomial(a), monomial(b)
+        eye = np.eye(len(ma.image))
+        assert np.linalg.norm((ma @ mb).apply(eye) - dense_a @ dense_b) < 1e-12
+        assert np.linalg.norm(
+            ma.dagger().apply(eye) - dense_a.conj().T) < 1e-12
+        assert abs(ma.distance(mb) - np.linalg.norm(dense_a - dense_b)) < 1e-12
 
 
 class TestRepresent:
@@ -165,6 +216,38 @@ class TestJointEigenvector:
         s = set_from_rows(2, [((1, 0),), ((0, 1),)])
         with pytest.raises(ValueError):
             joint_eigenvector(s)
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("name", ["v4", "w6"])
+    def test_builtin_over_seeds(self, name, seed):
+        s = builtin(name)
+        v, vals = joint_eigenvector(s, seed=seed)
+        assert abs(np.linalg.norm(v) - 1) < 1e-12
+        for w, lam in zip(s.operators, vals):
+            assert abs(abs(lam) - 1) < 1e-8
+            assert np.linalg.norm(represent(w) @ v - lam * v) < 1e-8
+        want = cmath.exp(2j * math.pi * verify(s).product_phase.turns)
+        assert abs(np.prod(vals) - want) < 1e-8
+
+    def test_same_seed_same_vector(self):
+        a, vals_a = joint_eigenvector(builtin("w6"), seed=7)
+        b, vals_b = joint_eigenvector(builtin("w6"), seed=7)
+        assert np.array_equal(a, b) and vals_a == vals_b
+
+
+def test_padded_v4_at_dimension_2_pow_16():
+    # v4 on 3 of 16 parties: D = 2**16, far beyond any dense matrix
+    rows = [w.exponents + ((0, 0),) * 13 for w in builtin("v4").operators]
+    s = set_from_rows(2, rows)
+    start = time.perf_counter()
+    report = check_set(s, dim_ceiling=2 ** 16)
+    _, vals = joint_eigenvector(s, seed=0, dim_ceiling=2 ** 16)
+    assert time.perf_counter() - start < 5.0
+    assert report.dimension == 2 ** 16
+    assert report.max_commutator_norm < 1e-8
+    assert report.product_deviation < 1e-8
+    assert report.max_unitarity_defect < 1e-8
+    assert abs(np.prod(vals) + 1) < 1e-8
 
 
 class TestGhzCombEigenvalues:

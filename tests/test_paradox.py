@@ -242,6 +242,14 @@ class TestSearch:
             search(LatticeParams(2), 6, 6, 3, space_ceiling=1e6)
         assert time.perf_counter() - start < 1.0
 
+    def test_refusal_charges_the_mask_build(self):
+        # 25^3 - 1 rows: only 15,624 pairs, but 2.4e8 mask entries
+        start = time.perf_counter()
+        with pytest.raises(SearchSpaceError) as exc:
+            search(LatticeParams(2), 3, 2, 2, space_ceiling=1e6)
+        assert time.perf_counter() - start < 1.0
+        assert exc.value.estimate == 15624 ** 2
+
     def test_empty_alphabet_finds_nothing(self):
         assert search(LatticeParams(2), 2, 2, 1, allowed_pairs=[]) == []
 
