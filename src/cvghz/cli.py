@@ -202,14 +202,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
-    params = LatticeParams(args.dim)
     try:
-        results = paradox.search(params, args.parties, args.operators,
-                                 args.max_exp,
+        results = paradox.search(LatticeParams(args.dim), args.parties,
+                                 args.operators, args.max_exp,
                                  space_ceiling=args.max_space)
     except SearchSpaceError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
     print(f"{len(results)} paradox class(es) found")
     for i, op_set in enumerate(results):
         print(f"-- class {i}:")

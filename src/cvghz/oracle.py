@@ -77,7 +77,8 @@ def monomial(word: WeylWord,
     """e^{2*pi*i*phase} times the tensor product of the parties' X^m Y^n.
 
     Per site (party 0 is the leading digit), Y^n maps digit k to
-    k' = (k + n) mod d and X^m then multiplies by w^{m k'}.
+    k' = (k + n) mod d and X^m then multiplies by w^{m k'}. X^d = Y^d = I,
+    so m and n are taken mod d first; any integer exponent is accepted.
     """
     d = word.params.d
     dim = d ** word.n_parties
@@ -85,6 +86,7 @@ def monomial(word: WeylWord,
         raise DimensionCeilingError(dim, dim_ceiling)
     image = power = np.zeros(1, dtype=np.intp)
     for m, n in word.exponents:
+        m, n = m % d, n % d
         shifted = (np.arange(d) + n) % d
         image = (image[:, None] * d + shifted).ravel()
         power = (power[:, None] + m * shifted).ravel() % d

@@ -22,7 +22,7 @@ from math import comb as binomial
 from typing import Iterable, Optional, Sequence
 
 from .weyl import (LatticeParams, RationalPhase, WeylWord, commutation_phase,
-                   is_scalar, product)
+                   crossing, is_scalar, product, symplectic)
 
 DEFAULT_SPACE_CEILING = 2e13
 
@@ -292,18 +292,20 @@ def search(params: LatticeParams, n_parties: int, n_operators: int,
     code_index = {c: i for i, c in enumerate(code)}
 
     # Commutation bitmasks: bit j of comm[i] set iff rows i and j commute.
-    comm = [0] * n_rows
-    for i in range(n_rows):
-        ri = rows[i]
-        mask = 0
-        for j in range(i, n_rows):
-            rj = rows[j]
-            s = sum(ri[t][0] * rj[t][1] - rj[t][0] * ri[t][1]
-                    for t in range(n_parties))
-            if s % d == 0:
-                mask |= 1 << j
-                comm[j] |= 1 << i
-        comm[i] |= mask
+    # That depends only on the exponents mod d, so the symplectic form is
+    # evaluated once per unordered pair of residue classes.
+    keys = [tuple((m % d, n % d) for m, n in row) for row in rows]
+    members = dict.fromkeys(keys, 0)  # residue row -> bitmask of its rows
+    for i, key in enumerate(keys):
+        members[key] |= 1 << i
+    reps = list(members)
+    class_comm = dict.fromkeys(reps, 0)
+    for a, ra in enumerate(reps):
+        for rb in reps[a:]:
+            if symplectic(ra, rb) % d == 0:
+                class_comm[ra] |= members[rb]
+                class_comm[rb] |= members[ra]
+    comm = [class_comm[key] for key in keys]
     all_from = [((1 << n_rows) - 1) ^ ((1 << i) - 1) for i in range(n_rows)]
 
     # Per-column bounds of a single row's contribution, for sum pruning.
@@ -315,16 +317,12 @@ def search(params: LatticeParams, n_parties: int, n_operators: int,
 
     def emit(chosen_idx: list[int]) -> None:
         # Commutation and zero column sums hold by construction; only the
-        # product phase (pure integer fold of the normal-ordering crossings)
+        # product phase, -sum over i < j of crossing(row_i, row_j) / d,
         # decides paradox-hood here.
         chosen_rows = [rows[i] for i in chosen_idx]
-        phase_num = 0
-        acc_n = [0] * n_parties
-        for row in chosen_rows:
-            for t, (m, n) in enumerate(row):
-                phase_num -= m * acc_n[t]
-                acc_n[t] += n
-        if phase_num % d != 0:
+        crossings = sum(crossing(a, b)
+                        for a, b in itertools.combinations(chosen_rows, 2))
+        if crossings % d:
             key = canonical_rows(chosen_rows, n_parties)
             if key not in found:
                 found[key] = set_from_rows(d, key)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import oracle
 from .paradox import OperatorSet, builtin
-from .weyl import WeylWord
+from .weyl import LatticeParams, WeylWord, identity_word
 
 OVERLAP_CUTOFF = 1e-16  # peak pairs below this Gaussian factor are dropped
 
@@ -69,8 +69,6 @@ class ProductStateSum:
 
 def comb_overlap(bra: GaussianComb, ket: GaussianComb) -> complex:
     """<bra|ket> in closed form, including all inter-peak cross terms."""
-    if bra.delta != ket.delta:
-        raise ValueError("overlap requires equal peak widths")
     return comb_matrix_element(bra, ket, mu=0.0, shift=0.0)
 
 
@@ -116,8 +114,8 @@ def make_comb(kind: str, delta: float, n_peaks: int,
     """
     if kind not in ("up", "down"):
         raise ValueError(f"kind must be 'up' or 'down', got {kind!r}")
-    if delta <= 0 or envelope_width <= 0:
-        raise ValueError("delta and envelope_width must be positive")
+    if not (0 < delta < math.inf and 0 < envelope_width < math.inf):
+        raise ValueError("delta and envelope_width must be finite and > 0")
     if n_peaks < 0:
         raise ValueError("n_peaks must be >= 0")
     odd_weight = 1j if kind == "up" else -1j
@@ -134,13 +132,8 @@ def make_comb(kind: str, delta: float, n_peaks: int,
 
 def state_norm(state: ProductStateSum) -> float:
     """Norm from the closed-form Gram matrix of the product terms."""
-    total = 0.0 + 0.0j
-    for ct, ft in state.terms:
-        for cu, fu in state.terms:
-            ov = ct.conjugate() * cu
-            for bra, ket in zip(ft, fu):
-                ov *= comb_overlap(bra, ket)
-            total += ov
+    total = weyl_expectation(state, identity_word(LatticeParams(2),
+                                                  state.n_parties))
     if total.real <= 0:
         raise ValueError("state has non-positive norm")
     return math.sqrt(total.real)
@@ -246,8 +239,8 @@ def convergence_study(deltas: list[float], n_peaks: int = 20,
     four operator expectations and the worst-case deviation from the exact
     eigenvalues of the corresponding qubit GHZ state.
     """
-    if any(d <= 0 for d in deltas):
-        raise ValueError("all delta values must be positive")
+    if not all(0 < d < math.inf for d in deltas):
+        raise ValueError("all delta values must be positive and finite")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("delta values must be strictly descending")
     if not deltas:

@@ -54,9 +54,6 @@ class RationalPhase:
     def __neg__(self) -> "RationalPhase":
         return RationalPhase(-self.numerator, self.denominator)
 
-    def __sub__(self, other: "RationalPhase") -> "RationalPhase":
-        return self + (-other)
-
     def scaled(self, k: int) -> "RationalPhase":
         return RationalPhase(k * self.numerator, self.denominator)
 
@@ -102,10 +99,6 @@ class WeylWord:
     def n_parties(self) -> int:
         return len(self.exponents)
 
-    @property
-    def is_identity(self) -> bool:
-        return self.phase.is_zero and all(e == (0, 0) for e in self.exponents)
-
 
 def identity_word(params: LatticeParams, n_parties: int) -> WeylWord:
     return WeylWord(params, ((0, 0),) * n_parties)
@@ -135,31 +128,44 @@ def _check_compatible(a: WeylWord, b: WeylWord) -> None:
             f"mismatched party counts: {a.n_parties} vs {b.n_parties}")
 
 
-def multiply(a: WeylWord, b: WeylWord) -> WeylWord:
-    """Normal form of the operator product a*b.
+def crossing(a, b) -> int:
+    """sum_j m_b,j * n_a,j over exponent rows of (m, n) pairs, in exact ints.
 
-    Per party, moving b's X^{m_b} left past a's Y^{n_a} contributes the
-    exact phase -(m_b*n_a)/d turns; exponents add, phases add mod 1.
+    Normal-ordering a*b moves b's X^{m_b} left past a's Y^{n_a}: that costs
+    -crossing(a, b)/d turns.
     """
+    total = 0
+    for (_, na), (mb, _) in zip(a, b):
+        total += mb * na
+    return total
+
+
+def symplectic(a, b) -> int:
+    """crossing(b, a) - crossing(a, b), written as one sum for speed.
+
+    Words with exponent rows a, b commute up to symplectic(a, b)/d turns.
+    """
+    total = 0
+    for (ma, na), (mb, nb) in zip(a, b):
+        total += ma * nb - mb * na
+    return total
+
+
+def multiply(a: WeylWord, b: WeylWord) -> WeylWord:
+    """Normal form of a*b: exponents add, phases add -crossing(a, b)/d."""
     _check_compatible(a, b)
-    d = a.params.d
-    cross = 0  # accumulated numerator over denominator d
-    exps = []
-    for (ma, na), (mb, nb) in zip(a.exponents, b.exponents):
-        cross -= mb * na
-        exps.append((ma + mb, na + nb))
-    phase = a.phase + b.phase + RationalPhase(cross, d)
-    return WeylWord(a.params, tuple(exps), phase)
+    exps = tuple((ma + mb, na + nb)
+                 for (ma, na), (mb, nb) in zip(a.exponents, b.exponents))
+    cross = crossing(a.exponents, b.exponents)
+    phase = a.phase + b.phase + RationalPhase(-cross, a.params.d)
+    return WeylWord(a.params, exps, phase)
 
 
-def product(words, params: Optional[LatticeParams] = None,
-            n_parties: Optional[int] = None) -> WeylWord:
-    """Left-to-right product of an iterable of words."""
+def product(words) -> WeylWord:
+    """Left-to-right product of a non-empty iterable of words."""
     words = list(words)
     if not words:
-        if params is None or n_parties is None:
-            raise ValueError("empty product needs explicit params/n_parties")
-        return identity_word(params, n_parties)
+        raise ValueError("empty product has no lattice params or parties")
     acc = words[0]
     for w in words[1:]:
         acc = multiply(acc, w)
@@ -169,21 +175,19 @@ def product(words, params: Optional[LatticeParams] = None,
 def dagger(a: WeylWord) -> WeylWord:
     """Normal form of the Hermitian adjoint of a."""
     d = a.params.d
-    # (X^m Y^n)^dag = Y^-n X^-m = e^{-2 pi i m n / d} X^-m Y^-n
-    cross = -sum(m * n for m, n in a.exponents)
+    # (X^m Y^n)^dag = Y^-n X^-m; reordering costs crossing(a, a) = sum m*n
+    cross = crossing(a.exponents, a.exponents)
     exps = tuple((-m, -n) for m, n in a.exponents)
-    return WeylWord(a.params, exps, -a.phase + RationalPhase(cross, d))
+    return WeylWord(a.params, exps, -a.phase + RationalPhase(-cross, d))
 
 
 def commutation_phase(a: WeylWord, b: WeylWord) -> RationalPhase:
     """The phase phi with a*b = e^{2*pi*i*phi} * b*a.
 
-    Equals sum_j (m_a,j*n_b,j - m_b,j*n_a,j)/d mod 1; zero iff a, b commute.
+    Equals symplectic(a, b)/d mod 1; zero iff a, b commute.
     """
     _check_compatible(a, b)
-    num = sum(ma * nb - mb * na
-              for (ma, na), (mb, nb) in zip(a.exponents, b.exponents))
-    return RationalPhase(num, a.params.d)
+    return RationalPhase(symplectic(a.exponents, b.exponents), a.params.d)
 
 
 def is_scalar(a: WeylWord) -> Optional[RationalPhase]:

@@ -140,6 +140,18 @@ class TestOracle:
         assert out == ""
         assert err == "refused: dense dimension 1024 exceeds ceiling 512\n"
 
+    def test_exponents_beyond_int64(self, capsys, tmp_path):
+        # X^d = Y^d = I: adding a multiple of d = 2 changes no matrix
+        data = cli.set_to_dict(builtin("v4"))
+        data["operators"][0][0] = [1 + 2 ** 70, 0]
+        data["operators"][1][0] = [-1 - 2 ** 70, 0]
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(data))
+        code, out, _ = run(capsys, "oracle", "--file", str(path))
+        assert code == 0
+        assert out == run(capsys, "oracle", "--set", "v4")[1]
+        assert "pass: True" in out
+
     def test_identity_set_trivial_pass(self, capsys, tmp_path):
         path = tmp_path / "id.json"
         path.write_text(json.dumps(
@@ -174,6 +186,13 @@ class TestSimulate:
         code, _, _ = run(capsys, "simulate", "--delta", "0.05,0.1")
         assert code == 2
 
+    def test_non_finite_exit_two(self, capsys):
+        for argv in (["--delta", "nan"], ["--delta", "0.1,inf"],
+                     ["--delta", "0.1", "--envelope", "inf"]):
+            code, out, err = run(capsys, "simulate", *argv)
+            assert (code, out) == (2, ""), argv
+            assert "finite" in err
+
     def test_byte_deterministic(self, capsys, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -183,6 +202,10 @@ class TestSimulate:
 
 
 def test_bad_flags_exit_two(capsys):
-    code, _, _ = run(capsys, "search", "--parties", "x", "--dim", "2",
-                     "--operators", "4", "--max-exp", "1")
-    assert code == 2
+    # an unparsable value, then each value the search rejects; argparse
+    # keeps the last occurrence of a repeated flag
+    for bad in (["--parties", "x"], ["--max-exp", "0"], ["--dim", "1"],
+                ["--parties", "0"], ["--operators", "0"]):
+        code, out, _ = run(capsys, "search", "--parties", "1", "--dim", "2",
+                           "--operators", "4", "--max-exp", "1", *bad)
+        assert (code, out) == (2, ""), bad

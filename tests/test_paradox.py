@@ -208,7 +208,39 @@ class TestCanonicalization:
         assert verify(canonicalize(builtin("v4"))).is_paradox
 
 
+def reference_search(d, n_parties, n_operators, max_exponent):
+    """Canonical forms of every row multiset that `verify` calls a paradox.
+
+    Brute force over `combinations_with_replacement`, with none of the
+    search's pruning; the reference that `search` must equal.
+    """
+    r = range(-max_exponent, max_exponent + 1)
+    zero_row = ((0, 0),) * n_parties
+    rows = [row for row in itertools.product(
+        [(m, n) for m in r for n in r], repeat=n_parties) if row != zero_row]
+    found = set()
+    for combo in itertools.combinations_with_replacement(rows,
+                                                         n_operators):
+        if any(map(sum, zip(*[sum(row, ()) for row in combo]))):
+            continue  # some column sum is nonzero
+        if verify(set_from_rows(d, combo)).is_paradox:
+            found.add(reference_canonical_rows(combo, n_parties))
+    return found
+
+
 class TestSearch:
+    @pytest.mark.parametrize("d,n_parties,n_operators,max_exponent,classes", [
+        (2, 2, 3, 1, 13), (3, 2, 3, 1, 12), (4, 2, 3, 1, 12),
+        (2, 1, 4, 2, 14), (4, 1, 4, 2, 10),
+    ])
+    def test_matches_brute_force(self, d, n_parties, n_operators,
+                                 max_exponent, classes):
+        want = reference_search(d, n_parties, n_operators, max_exponent)
+        got = search(LatticeParams(d), n_parties, n_operators, max_exponent)
+        assert [tuple(w.exponents for w in s.operators) for s in got] \
+            == sorted(want)
+        assert len(want) == classes
+
     def test_single_operator_finds_nothing(self):
         assert search(LatticeParams(2), 1, 1, 1) == []
 

@@ -62,6 +62,9 @@ class TestMakeComb:
         dict(delta=-0.1, n_peaks=3, envelope_width=5.0),
         dict(delta=0.1, n_peaks=-1, envelope_width=5.0),
         dict(delta=0.1, n_peaks=3, envelope_width=0.0),
+        dict(delta=math.nan, n_peaks=3, envelope_width=5.0),
+        dict(delta=math.inf, n_peaks=3, envelope_width=5.0),
+        dict(delta=0.1, n_peaks=3, envelope_width=math.inf),
     ])
     def test_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):
@@ -193,6 +196,11 @@ class TestConvergence:
             convergence_study([0.05, 0.1])
         with pytest.raises(ValueError):
             convergence_study([-0.1])
+        for bad in ([math.nan], [math.inf], [0.1, math.nan]):
+            with pytest.raises(ValueError, match="finite"):
+                convergence_study(bad)
+        with pytest.raises(ValueError, match="finite"):
+            convergence_study([0.1], envelope_width=math.inf)
 
 
 class TestValidation:

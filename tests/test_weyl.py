@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvghz.weyl import (LatticeParams, RationalPhase, WeylWord,
-                        commutation_phase, dagger, identity_word, is_scalar,
-                        make_generator, multiply, product)
+                        commutation_phase, crossing, dagger, identity_word,
+                        is_scalar, make_generator, multiply, product,
+                        symplectic)
 
 
 class TestRationalPhase:
@@ -131,6 +132,10 @@ class TestIsScalar:
     def test_nonscalar(self):
         assert is_scalar(make_generator(LatticeParams(2), 3, 0, "X", 1)) is None
 
+    def test_empty_product_rejected(self):
+        with pytest.raises(ValueError):
+            product([])
+
     def test_v4_product(self):
         from cvghz.paradox import builtin
         prod = product(builtin("v4").operators)
@@ -142,15 +147,18 @@ class TestIsScalar:
 
 @st.composite
 def word_batch(draw, count):
-    """`count` words sharing lattice params and party count."""
+    """`count` words sharing lattice params and party count.
+
+    Exponents are small, so words often commute, or beyond +-2**63, where
+    fixed-width integer arithmetic would wrap.
+    """
     d = draw(st.integers(min_value=2, max_value=5))
     n = draw(st.integers(min_value=1, max_value=3))
     params = LatticeParams(d)
+    exponent = st.integers(-4, 4) | st.integers(-2 ** 70, 2 ** 70)
     words = []
     for _ in range(count):
-        exps = tuple(
-            (draw(st.integers(-4, 4)), draw(st.integers(-4, 4)))
-            for _ in range(n))
+        exps = tuple((draw(exponent), draw(exponent)) for _ in range(n))
         phase = RationalPhase(draw(st.integers(0, 2 * d - 1)), 2 * d)
         words.append(WeylWord(params, exps, phase))
     return words
@@ -181,6 +189,14 @@ def test_unitarity(words):
     ident = identity_word(a.params, a.n_parties)
     assert multiply(a, dagger(a)) == ident
     assert multiply(dagger(a), a) == ident
+
+
+@settings(max_examples=200, deadline=None)
+@given(word_batch(2))
+def test_symplectic_is_antisymmetrized_crossing(words):
+    a, b = (w.exponents for w in words)
+    assert symplectic(a, b) == crossing(b, a) - crossing(a, b)
+    assert symplectic(a, b) == -symplectic(b, a)
 
 
 def test_d2_generator_squares_add_exactly():
