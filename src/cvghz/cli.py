@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional
 
@@ -227,6 +228,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if not math.isfinite(args.tol):
+        raise InputError(f"--tol must be finite, got {args.tol}")
     op_set = load_set(args.set, args.file)
     report = oracle_mod.check_set(op_set, dim_ceiling=args.max_dim)
     sym = paradox.verify(op_set)

@@ -255,11 +255,27 @@ def search(params: LatticeParams, n_parties: int, n_operators: int,
     condition, commutation is pruned incrementally via precomputed bitmasks,
     and partial column sums are bounded by what the remaining rows can still
     cancel.
+
+    First-row rule (orderly generation): party permutations keep a row
+    multiset inside the alphabet, and so do per-party sign flips when the
+    alphabet is closed under negation. With fold(e) = min(e, -e) for a
+    closed alphabet and fold(e) = e otherwise, every class therefore has a
+    member whose smallest row r equals sorted(fold(e) for e in r) and whose
+    other rows all have sorted(fold(e) for e in row) >= r. The DFS starts
+    only from such rows and draws every later row, the forced one included,
+    from those keys >= r; `canonical_rows` still de-duplicates every hit.
+
+    Commutation masks are built party by party: symplectic(a, b) is the sum
+    of the one-party forms symplectic((a_t,), (b_t,)), so for each residue
+    class the rows whose partial form is s mod d are folded over the parties
+    from one bitmask per (party, pair).
     """
     if max_exponent < 1:
         raise ValueError("max_exponent must be >= 1")
     if n_operators < 1 or n_parties < 1:
         raise ValueError("n_operators and n_parties must be >= 1")
+    if math.isnan(space_ceiling):
+        raise ValueError("space_ceiling must not be NaN")
     d = params.d
     pairs = sorted(set(map(tuple, allowed_pairs))) \
         if allowed_pairs is not None else _default_pairs(max_exponent)
@@ -292,21 +308,52 @@ def search(params: LatticeParams, n_parties: int, n_operators: int,
     code_index = {c: i for i, c in enumerate(code)}
 
     # Commutation bitmasks: bit j of comm[i] set iff rows i and j commute.
-    # That depends only on the exponents mod d, so the symplectic form is
-    # evaluated once per unordered pair of residue classes.
-    keys = [tuple((m % d, n % d) for m, n in row) for row in rows]
-    members = dict.fromkeys(keys, 0)  # residue row -> bitmask of its rows
-    for i, key in enumerate(keys):
-        members[key] |= 1 << i
-    reps = list(members)
-    class_comm = dict.fromkeys(reps, 0)
-    for a, ra in enumerate(reps):
-        for rb in reps[a:]:
-            if symplectic(ra, rb) % d == 0:
-                class_comm[ra] |= members[rb]
-                class_comm[rb] |= members[ra]
-    comm = [class_comm[key] for key in keys]
+    # forms[t][a][v]: rows whose party-t pair b has symplectic((a,), (b,))
+    # = v mod d. Folding them over the parties tracks, for each s, the rows
+    # whose form with row i over the parties so far is s mod d. That
+    # depends only on row i mod d, so it is done once per residue class.
+    holds = [dict.fromkeys(pairs, 0) for _ in range(n_parties)]
+    for i, row in enumerate(rows):
+        for t, pair in enumerate(row):
+            holds[t][pair] |= 1 << i
+    one = {a: [symplectic((a,), (b,)) % d for b in pairs] for a in pairs}
+    forms = []
+    for held in holds:
+        table = {}
+        for a in pairs:
+            table[a] = by_value = [0] * d
+            for v, b in zip(one[a], pairs):
+                by_value[v] |= held[b]
+        forms.append(table)
+    class_comm: dict = {}
+    comm = []
+    for row in rows:
+        key = tuple((m % d, n % d) for m, n in row)
+        if key not in class_comm:
+            partial = forms[0][row[0]]
+            for t in range(1, n_parties):
+                by_value = forms[t][row[t]]
+                # the sets for distinct v are disjoint, so + is |
+                partial = [sum(partial[(s - v) % d] & by_value[v]
+                               for v in range(d))
+                           for s in (range(d) if t < n_parties - 1 else (0,))]
+            class_comm[key] = partial[0]
+        comm.append(class_comm[key])
     all_from = [((1 << n_rows) - 1) ^ ((1 << i) - 1) for i in range(n_rows)]
+
+    # First-row rule: key[i] is row i's sorted folded entries, and
+    # at_least[key] the rows whose key is >= key.
+    if {(-m, -n) for m, n in pairs} == set(pairs):
+        keys = [tuple(sorted(map(min, row, [(-m, -n) for m, n in row])))
+                for row in rows]
+    else:
+        keys = [tuple(sorted(row)) for row in rows]
+    at_least = dict.fromkeys(keys, 0)
+    for i, key in enumerate(keys):
+        at_least[key] |= 1 << i
+    above = 0
+    for key in sorted(at_least, reverse=True):
+        above = at_least[key] = above | at_least[key]
 
     # Per-column bounds of a single row's contribution, for sum pruning.
     lo = [min(f[c] for f in flat) for c in range(2 * n_parties)]
@@ -327,20 +374,21 @@ def search(params: LatticeParams, n_parties: int, n_operators: int,
             if key not in found:
                 found[key] = set_from_rows(d, key)
 
-    def extend(depth: int, start_mask: int, sums: tuple[int, ...]) -> None:
+    def extend(depth: int, mask: int, cands: int,
+               sums: tuple[int, ...]) -> None:
+        # try each row of mask at this depth; later rows come from cands
         if depth == k_free - 1:
             # last free row: the completion is forced, so skip the window
             # check (the lookup rejects out-of-alphabet completions) and
             # touch the candidate mask only on a hit
             target = -sum(map(int.__mul__, sums, weights))
-            mask = start_mask
             while mask:
                 lsb = mask & -mask
                 i = lsb.bit_length() - 1
                 mask ^= lsb
                 fi = code_index.get(target - code[i])
                 if fi is not None and fi >= i \
-                        and (start_mask & comm[i]) >> fi & 1:
+                        and (cands & comm[i]) >> fi & 1:
                     _stack.append(i)
                     emit(_stack + [fi])
                     _stack.pop()
@@ -349,7 +397,6 @@ def search(params: LatticeParams, n_parties: int, n_operators: int,
         # future rows keep column c's reachable window in [-r*hi, -r*lo]
         win_lo = [-remaining * h for h in hi]
         win_hi = [-remaining * l for l in lo]
-        mask = start_mask
         while mask:
             lsb = mask & -mask
             i = lsb.bit_length() - 1
@@ -362,10 +409,13 @@ def search(params: LatticeParams, n_parties: int, n_operators: int,
                     break
             if ok:
                 _stack.append(i)
-                extend(depth + 1, start_mask & comm[i] & all_from[i],
-                       new_sums)
+                child = cands & comm[i] & all_from[i]
+                extend(depth + 1, child, child, new_sums)
                 _stack.pop()
 
     _stack: list[int] = []
-    extend(0, (1 << n_rows) - 1, (0,) * (2 * n_parties))
+    zero_sums = (0,) * (2 * n_parties)
+    for i, row in enumerate(rows):
+        if row == keys[i]:
+            extend(0, 1 << i, at_least[row], zero_sums)
     return [found[k] for k in sorted(found)]

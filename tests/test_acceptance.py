@@ -125,7 +125,7 @@ def test_criterion_6_search_rediscovery(capsys):
     start = time.perf_counter()
     results = search(LatticeParams(2), 3, 4, 1)
     elapsed = time.perf_counter() - start
-    assert elapsed < 300.0
+    assert elapsed < 30.0
     target = canonicalize(builtin("v4"))
     keys = {tuple(w.exponents for w in s.operators) for s in results}
     assert tuple(w.exponents for w in target.operators) in keys

@@ -110,6 +110,21 @@ class TestSearch:
         assert code == 3
         assert "refused" in err
 
+    def test_nan_ceiling_exit_two(self, capsys):
+        # NaN compares False with every estimate, so it must not reach it
+        code, out, err = run(capsys, "search", "--parties", "1", "--dim",
+                             "2", "--operators", "2", "--max-exp", "1",
+                             "--max-space", "nan")
+        assert (code, out) == (2, "")
+        assert "NaN" in err
+
+    def test_infinite_ceiling_runs(self, capsys):
+        code, out, _ = run(capsys, "search", "--parties", "1", "--dim", "2",
+                           "--operators", "2", "--max-exp", "1",
+                           "--max-space", "inf")
+        assert code == 0
+        assert out.startswith("2 paradox")
+
     def test_emit_files_parse_back(self, capsys, tmp_path):
         out_dir = tmp_path / "found"
         code, out, _ = run(capsys, "search", "--parties", "1", "--dim", "2",
@@ -139,6 +154,13 @@ class TestOracle:
         assert code == 3
         assert out == ""
         assert err == "refused: dense dimension 1024 exceeds ceiling 512\n"
+
+    def test_non_finite_tol_exit_two(self, capsys):
+        for tol in ("nan", "inf", "-inf"):
+            code, out, err = run(capsys, "oracle", "--set", "v4",
+                                 f"--tol={tol}")
+            assert (code, out) == (2, ""), tol
+            assert "finite" in err
 
     def test_exponents_beyond_int64(self, capsys, tmp_path):
         # X^d = Y^d = I: adding a multiple of d = 2 changes no matrix

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvghz import paradox
 from cvghz.paradox import (LhvAssignment, OperatorSet, SearchSpaceError,
                            builtin, canonical_rows, canonicalize,
                            column_sums, lhv_value, search, set_from_rows,
@@ -208,16 +209,20 @@ class TestCanonicalization:
         assert verify(canonicalize(builtin("v4"))).is_paradox
 
 
-def reference_search(d, n_parties, n_operators, max_exponent):
+def reference_search(d, n_parties, n_operators, max_exponent,
+                     allowed_pairs=None):
     """Canonical forms of every row multiset that `verify` calls a paradox.
 
     Brute force over `combinations_with_replacement`, with none of the
     search's pruning; the reference that `search` must equal.
     """
-    r = range(-max_exponent, max_exponent + 1)
+    if allowed_pairs is None:
+        r = range(-max_exponent, max_exponent + 1)
+        allowed_pairs = [(m, n) for m in r for n in r]
     zero_row = ((0, 0),) * n_parties
-    rows = [row for row in itertools.product(
-        [(m, n) for m in r for n in r], repeat=n_parties) if row != zero_row]
+    rows = [row for row in itertools.product(sorted(set(allowed_pairs)),
+                                             repeat=n_parties)
+            if row != zero_row]
     found = set()
     for combo in itertools.combinations_with_replacement(rows,
                                                          n_operators):
@@ -226,6 +231,31 @@ def reference_search(d, n_parties, n_operators, max_exponent):
         if verify(set_from_rows(d, combo)).is_paradox:
             found.add(reference_canonical_rows(combo, n_parties))
     return found
+
+
+def search_keys(results):
+    return [tuple(w.exponents for w in s.operators) for s in results]
+
+
+UNIT_PAIRS = [(m, n) for m in (-1, 0, 1) for n in (-1, 0, 1)]
+
+
+@st.composite
+def small_searches(draw):
+    """(d, n_parties, n_operators, pairs): a sub-alphabet of [-1, 1]^2.
+
+    The operator count is capped so that the brute force visits at most
+    5,000 row multisets.
+    """
+    d = draw(st.integers(2, 4))
+    n_parties = draw(st.integers(1, 2))
+    pairs = draw(st.lists(st.sampled_from(UNIT_PAIRS), min_size=1,
+                          max_size=9, unique=True))
+    n_rows = len(pairs) ** n_parties - ((0, 0) in pairs)
+    k_max = max([k for k in range(2, 5)
+                 if math.comb(n_rows + k - 1, k) <= 5000], default=2)
+    n_operators = draw(st.integers(2, k_max))
+    return d, n_parties, n_operators, pairs
 
 
 class TestSearch:
@@ -237,9 +267,63 @@ class TestSearch:
                                  max_exponent, classes):
         want = reference_search(d, n_parties, n_operators, max_exponent)
         got = search(LatticeParams(d), n_parties, n_operators, max_exponent)
-        assert [tuple(w.exponents for w in s.operators) for s in got] \
-            == sorted(want)
+        assert search_keys(got) == sorted(want)
         assert len(want) == classes
+
+    # alphabets not closed under negation: only party permutations may
+    # move a class member to its first-row form
+    @pytest.mark.parametrize("d,n_parties,n_operators,pairs,classes", [
+        (2, 2, 3, [(-1, 1), (0, -1), (0, 1), (1, -1), (1, 0)], 3),
+        (4, 2, 3, [(-1, 0), (0, 1), (1, -1)], 3),
+        (4, 2, 3, [(-1, -1), (0, 0), (0, 1), (1, 0)], 3),
+        (3, 2, 4, [(-1, -1), (0, 1), (1, -1), (1, 1)], 2),
+        (3, 1, 4, [(-1, 1), (0, 0), (1, -1), (1, 0)], 1),
+        (3, 1, 2, [(-1, -1), (-1, 1), (0, 1), (1, -1), (1, 1)], 2),
+    ])
+    def test_matches_brute_force_non_closed(self, d, n_parties, n_operators,
+                                            pairs, classes):
+        want = reference_search(d, n_parties, n_operators, 1, pairs)
+        got = search(LatticeParams(d), n_parties, n_operators, 1,
+                     allowed_pairs=pairs)
+        assert search_keys(got) == sorted(want)
+        assert len(want) == classes
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_searches())
+    def test_matches_brute_force_on_sub_alphabets(self, case):
+        d, n_parties, n_operators, pairs = case
+        got = search(LatticeParams(d), n_parties, n_operators, 1,
+                     allowed_pairs=pairs)
+        want = reference_search(d, n_parties, n_operators, 1, pairs)
+        assert search_keys(got) == sorted(want)
+
+    @pytest.mark.parametrize("d,n_parties,n_operators,pairs", [
+        (2, 3, 3, None), (3, 2, 4, None),
+        (2, 2, 3, [(-1, 1), (0, -1), (0, 1), (1, -1), (1, 0)]),
+        (4, 2, 3, [(-1, -1), (0, 0), (0, 1), (1, 0)]),
+    ])
+    def test_hits_are_in_first_row_form(self, monkeypatch, d, n_parties,
+                                        n_operators, pairs):
+        # every hit the DFS canonicalizes starts from its least row r in
+        # folded sorted form, and no other row's folded key is below r
+        closed = pairs is None or all((-m, -n) in pairs for m, n in pairs)
+        fold = (lambda e: min(e, (-e[0], -e[1]))) if closed else (lambda e: e)
+        hits = []
+
+        def recording(rows, n):
+            hits.append(list(rows))
+            return canonical_rows(rows, n)
+
+        monkeypatch.setattr(paradox, "canonical_rows", recording)
+        search(LatticeParams(d), n_parties, n_operators, 1,
+               allowed_pairs=pairs)
+        assert hits
+        for rows in hits:
+            first = min(rows)
+            assert rows[0] == first
+            assert first == tuple(sorted(map(fold, first)))
+            assert min(tuple(sorted(map(fold, row))) for row in rows) \
+                == first
 
     def test_single_operator_finds_nothing(self):
         assert search(LatticeParams(2), 1, 1, 1) == []
@@ -282,6 +366,15 @@ class TestSearch:
         assert time.perf_counter() - start < 1.0
         assert exc.value.estimate == 15624 ** 2
 
+    def test_nan_ceiling_rejected(self):
+        with pytest.raises(ValueError, match="NaN") as exc:
+            search(LatticeParams(2), 1, 2, 1, space_ceiling=float("nan"))
+        assert not isinstance(exc.value, SearchSpaceError)
+
+    def test_infinite_ceiling_means_no_ceiling(self):
+        assert search(LatticeParams(2), 1, 2, 1, space_ceiling=math.inf) \
+            == search(LatticeParams(2), 1, 2, 1)
+
     def test_empty_alphabet_finds_nothing(self):
         assert search(LatticeParams(2), 2, 2, 1, allowed_pairs=[]) == []
 
@@ -290,7 +383,6 @@ class TestSearch:
             search(LatticeParams(4), 2, 3, 1, allowed_pairs=[(0, -3), (1, 0)])
 
 
-@pytest.mark.slow
 def test_search_snapshot_d3():
     # frozen regression count for the exhaustive d=3 enumeration
     results = search(LatticeParams(3), 3, 4, 1)
