@@ -18,8 +18,10 @@ storing lattice exponents only; every operator row has exactly `parties`
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 from typing import Optional
 
@@ -54,8 +56,7 @@ def set_to_dict(op_set: OperatorSet) -> dict:
     data = {
         "d": op_set.params.d,
         "parties": op_set.n_parties,
-        "operators": [[[m, n] for m, n in w.exponents]
-                      for w in op_set.operators],
+        "operators": [[[m, n] for m, n in row] for row in op_set.rows],
     }
     if op_set.name is not None:
         data["name"] = op_set.name
@@ -82,21 +83,17 @@ def set_from_dict(data: dict) -> OperatorSet:
     ops = data["operators"]
     if not isinstance(ops, list) or not ops:
         raise InputError("field 'operators' must be a non-empty list")
-    rows = []
     for i, row in enumerate(ops):
         if not isinstance(row, list) or len(row) != parties:
             raise InputError(
                 f"operator {i}: expected {parties} [m, n] pairs")
-        pairs = []
         for j, pair in enumerate(row):
             if (not isinstance(pair, list) or len(pair) != 2
                     or not all(map(_is_int, pair))):
                 raise InputError(
                     f"operator {i}, party {j}: entry must be an "
                     f"[m, n] integer pair, got {pair!r}")
-            pairs.append((pair[0], pair[1]))
-        rows.append(tuple(pairs))
-    return paradox.set_from_rows(d, rows, name=data.get("name"))
+    return paradox.set_from_rows(d, ops, name=data.get("name"))
 
 
 def load_set(spec: Optional[str], path: Optional[str]) -> OperatorSet:
@@ -203,6 +200,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
+    if args.emit:
+        try:
+            os.makedirs(args.emit, exist_ok=True)
+        except OSError as exc:
+            raise InputError(f"cannot create {args.emit}: {exc}") from None
     try:
         results = paradox.search(LatticeParams(args.dim), args.parties,
                                  args.operators, args.max_exp,
@@ -218,8 +220,6 @@ def cmd_search(args) -> int:
         for w in op_set.operators:
             print(f"   {render_word(w)}")
         if args.emit:
-            import os
-            os.makedirs(args.emit, exist_ok=True)
             path = os.path.join(args.emit, f"paradox_{i:04d}.json")
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(set_to_dict(op_set), fh, indent=2)
@@ -255,7 +255,8 @@ def cmd_oracle(args) -> int:
             "eigenvalues": [_fmt_complex(v) for v in vals],
             "eigenvalue_product": _fmt_complex(prod),
         }
-        ok = ok and all(abs(abs(v) - 1.0) < 1e-8 for v in vals)
+        ok = ok and all(abs(abs(v) - 1.0) < oracle_mod.EIGEN_TOL
+                        for v in vals)
     if args.json:
         data = dict(lines)
         if eig_lines:
@@ -280,28 +281,28 @@ def cmd_simulate(args) -> int:
         raise InputError(f"bad --delta list: {exc}") from None
     if not deltas:
         raise InputError("--delta list is empty")
-    try:
-        rows = states.convergence_study(deltas, n_peaks=args.peaks,
-                                        envelope_width=args.envelope)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
-    header = ["delta"]
-    for k in range(1, 5):
-        header += [f"re_V{k}", f"im_V{k}"]
-    header.append("deviation")
-    lines = [",".join(header)]
-    for row in rows:
-        cells = [_fmt(row.delta)]
-        for z in row.expectations:
-            cells += [_fmt(z.real), _fmt(z.imag)]
-        cells.append(_fmt(row.deviation))
-        lines.append(",".join(cells))
-    csv_text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    try:  # open the target first, so that a bad path costs no work
+        fh = open(args.out, "w", encoding="utf-8") if args.out else None
+    except OSError as exc:
+        raise InputError(f"cannot write {args.out}: {exc}") from None
+    with fh or contextlib.nullcontext(sys.stdout) as out:
+        try:
+            rows = states.convergence_study(deltas, n_peaks=args.peaks,
+                                            envelope_width=args.envelope)
+        except ValueError as exc:
+            raise InputError(str(exc)) from None
+        header = ["delta"]
+        for k in range(1, 5):
+            header += [f"re_V{k}", f"im_V{k}"]
+        header.append("deviation")
+        lines = [",".join(header)]
+        for row in rows:
+            cells = [_fmt(row.delta)]
+            for z in row.expectations:
+                cells += [_fmt(z.real), _fmt(z.imag)]
+            cells.append(_fmt(row.deviation))
+            lines.append(",".join(cells))
+        out.write("\n".join(lines) + "\n")
     monotone = all(a.deviation >= b.deviation - 1e-12
                    for a, b in zip(rows, rows[1:]))
     final_ok = rows[-1].deviation < args.max_dev

@@ -16,9 +16,10 @@ import numpy as np
 
 # perfbench/spans.py patches `cvghz.oracle.verify`; nothing here calls it.
 from .paradox import OperatorSet, verify  # noqa: F401
-from .weyl import LatticeParams, WeylWord, is_scalar, product
+from .weyl import LatticeParams, WeylWord, product
 
 DEFAULT_DIM_CEILING = 4096
+EIGEN_TOL = 1e-8  # tolerance of the eigenvector checks and of |lambda| = 1
 
 
 class DimensionCeilingError(ValueError):
@@ -112,8 +113,6 @@ class OracleReport:
     max_commutator_norm: float
     product_deviation: float
     max_unitarity_defect: float
-    product_is_scalar: bool
-    product_phase_turns: float  # symbolic product phase, as float turns
 
 
 def check_set(op_set: OperatorSet,
@@ -122,7 +121,6 @@ def check_set(op_set: OperatorSet,
     mons = [monomial(w, dim_ceiling) for w in op_set.operators]
     eye = Monomial.scalar(len(mons[0].image), 1.0)
     prod_word = product(op_set.operators)
-    phase = is_scalar(prod_word)
     return OracleReport(
         dimension=len(eye.image),
         max_commutator_norm=_max_commutator_norm(mons),
@@ -130,15 +128,12 @@ def check_set(op_set: OperatorSet,
             monomial(prod_word, dim_ceiling)),
         max_unitarity_defect=max((m @ m.dagger()).distance(eye)
                                  for m in mons),
-        product_is_scalar=phase is not None,
-        product_phase_turns=(phase.numerator / phase.denominator
-                             if phase is not None else float("nan")),
     )
 
 
 def joint_eigenvector(op_set: OperatorSet, seed: int = 0,
-                      dim_ceiling: int = DEFAULT_DIM_CEILING,
-                      tol: float = 1e-8) -> tuple[np.ndarray, list[complex]]:
+                      dim_ceiling: int = DEFAULT_DIM_CEILING
+                      ) -> tuple[np.ndarray, list[complex]]:
     """One simultaneous eigenvector of a commuting set, with its eigenvalues.
 
     Projects a seeded random vector onto an eigenspace of each image M in
@@ -146,7 +141,7 @@ def joint_eigenvector(op_set: OperatorSet, seed: int = 0,
     eigenspace of each root lam of lam^d = c. The largest projection wins.
     """
     mons = [monomial(w, dim_ceiling) for w in op_set.operators]
-    if _max_commutator_norm(mons) >= tol:
+    if _max_commutator_norm(mons) >= EIGEN_TOL:
         raise ValueError("operator set is not commuting")
     d, dim = op_set.params.d, len(mons[0].image)
     rng = np.random.default_rng(seed)
@@ -154,7 +149,7 @@ def joint_eigenvector(op_set: OperatorSet, seed: int = 0,
     for mon in mons:
         powers = list(accumulate([mon] * d, Monomial.__matmul__))  # M..M^d
         c = complex(powers[-1].coeff[0])
-        if powers[-1].distance(Monomial.scalar(dim, c)) >= tol:
+        if powers[-1].distance(Monomial.scalar(dim, c)) >= EIGEN_TOL:
             raise RuntimeError("an operator's d-th power is not a scalar")
         images = np.array([vec] + [p.apply(vec) for p in powers[:-1]])
         roots = c ** (1 / d) * np.exp(2j * np.pi * np.arange(d) / d)
@@ -164,14 +159,13 @@ def joint_eigenvector(op_set: OperatorSet, seed: int = 0,
     vals = [complex(np.vdot(vec, m.apply(vec))) for m in mons]
     resid = max(np.linalg.norm(m.apply(vec) - lam * vec)
                 for m, lam in zip(mons, vals))
-    if resid >= tol:
+    if resid >= EIGEN_TOL:
         raise RuntimeError("no joint eigenvector isolated; "
                            f"projection residual {resid:.3g}")
     return vec, vals
 
 
-def ghz_comb_eigenvalues(op_set: OperatorSet,
-                         tol: float = 1e-8) -> list[complex]:
+def ghz_comb_eigenvalues(op_set: OperatorSet) -> list[complex]:
     """Eigenvalues of a d=2 set on the qudit image of the GHZ comb state.
 
     The comb states map to the qubit states (|0> +/- i|1>)/sqrt(2); the GHZ
@@ -188,7 +182,7 @@ def ghz_comb_eigenvalues(op_set: OperatorSet,
     for w in op_set.operators:
         image = monomial(w).apply(state)
         lam = complex(np.vdot(state, image))
-        if np.linalg.norm(image - lam * state) > tol:
+        if np.linalg.norm(image - lam * state) > EIGEN_TOL:
             raise ValueError("GHZ comb state is not a joint eigenvector "
                              "of the given set")
         vals.append(lam)

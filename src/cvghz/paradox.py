@@ -26,6 +26,8 @@ from .weyl import (LatticeParams, RationalPhase, WeylWord, commutation_phase,
 
 DEFAULT_SPACE_CEILING = 2e13
 
+Rows = tuple[tuple[tuple[int, int], ...], ...]  # an exponent matrix
+
 
 class SearchSpaceError(ValueError):
     """Raised when the requested enumeration is too large to exhaust."""
@@ -40,19 +42,29 @@ class SearchSpaceError(ValueError):
 
 @dataclass(frozen=True)
 class OperatorSet:
-    """An ordered list of Weyl words sharing lattice params and party count."""
+    """An ordered list of lattice Weyl words, held as its exponent matrix.
+
+    `rows[i][j] = (m, n)` puts X_j^{m*a0} Y_j^{n*b0} on party j of word i.
+    """
 
     params: LatticeParams
-    n_parties: int
-    operators: tuple[WeylWord, ...]
+    rows: Rows
     name: Optional[str] = None
 
     def __post_init__(self):
-        if not self.operators:
+        if not self.rows:
             raise ValueError("operator set must be non-empty")
-        for w in self.operators:
-            if w.params != self.params or w.n_parties != self.n_parties:
-                raise ValueError("all operators must share params and parties")
+        if any(len(row) != len(self.rows[0]) for row in self.rows):
+            raise ValueError("all operators must have the same party count")
+
+    @property
+    def n_parties(self) -> int:
+        return len(self.rows[0])
+
+    @property
+    def operators(self) -> tuple[WeylWord, ...]:
+        """The rows as phase-free words."""
+        return tuple(WeylWord(self.params, row) for row in self.rows)
 
 
 @dataclass(frozen=True)
@@ -82,12 +94,8 @@ class LhvAssignment:
 
 
 def column_sums(op_set: OperatorSet) -> tuple[tuple[int, int], ...]:
-    sums = []
-    for j in range(op_set.n_parties):
-        sm = sum(w.exponents[j][0] for w in op_set.operators)
-        sn = sum(w.exponents[j][1] for w in op_set.operators)
-        sums.append((sm, sn))
-    return tuple(sums)
+    return tuple((sum(m for m, _ in col), sum(n for _, n in col))
+                 for col in zip(*op_set.rows))
 
 
 def verify(op_set: OperatorSet) -> ParadoxReport:
@@ -121,16 +129,15 @@ def lhv_value(op_set: OperatorSet, assignment: LhvAssignment) -> complex:
 
     Convention: X_j^{m*a0} is assigned exp(2*pi*i*m*x_j/sqrt(2d)) and
     Y_j^{n*b0} is assigned exp(2*pi*i*n*p_j/sqrt(2d)), i.e. the operator
-    exponentials evaluated at the hidden outcomes (global word prefactors
-    are ignored; built-in and searched sets carry none). When all column
-    sums vanish the total exponent cancels and the product is exactly 1.
+    exponentials evaluated at the hidden outcomes. When all column sums
+    vanish the total exponent cancels and the product is exactly 1.
     """
     if len(assignment.positions) != op_set.n_parties:
         raise ValueError("assignment does not cover all parties")
     scale = 2.0 * math.pi / math.sqrt(2.0 * op_set.params.d)
     total = 0.0
-    for w in op_set.operators:
-        for (m, n), x, p in zip(w.exponents, assignment.positions,
+    for row in op_set.rows:
+        for (m, n), x, p in zip(row, assignment.positions,
                                 assignment.momenta):
             total += scale * (m * x + n * p)
     return cmath.exp(1j * total)
@@ -165,11 +172,9 @@ _BUILTINS = {
 
 def set_from_rows(d: int, rows: Sequence[Sequence[tuple[int, int]]],
                   name: Optional[str] = None) -> OperatorSet:
-    params = LatticeParams(d)
-    n_parties = len(rows[0])
-    ops = tuple(WeylWord(params, tuple(tuple(p) for p in row))
-                for row in rows)
-    return OperatorSet(params, n_parties, ops, name=name)
+    """An OperatorSet on lattice d from rows given as nested sequences."""
+    return OperatorSet(LatticeParams(d),
+                       tuple(tuple(map(tuple, row)) for row in rows), name)
 
 
 def builtin(name: str) -> OperatorSet:
@@ -185,12 +190,7 @@ def builtin(name: str) -> OperatorSet:
 # ---------------------------------------------------------------------------
 # Canonicalization and search
 
-def _rows_of(op_set: OperatorSet) -> tuple[tuple[tuple[int, int], ...], ...]:
-    return tuple(w.exponents for w in op_set.operators)
-
-
-def canonical_rows(rows: Iterable[tuple[tuple[int, int], ...]],
-                   n_parties: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+def canonical_rows(rows: Iterable[tuple[tuple[int, int], ...]]) -> Rows:
     """Lexicographically minimal representative of the exponent matrix.
 
     Quotient group: party relabeling, operator reordering, and joint
@@ -231,9 +231,9 @@ def canonical_rows(rows: Iterable[tuple[tuple[int, int], ...]],
 
 
 def canonicalize(op_set: OperatorSet) -> OperatorSet:
-    """Canonical representative of op_set's exponent matrix (phases dropped)."""
-    rows = canonical_rows(_rows_of(op_set), op_set.n_parties)
-    return set_from_rows(op_set.params.d, rows, name=op_set.name)
+    """Canonical representative of op_set's exponent matrix."""
+    return OperatorSet(op_set.params, canonical_rows(op_set.rows),
+                       op_set.name)
 
 
 def _default_pairs(max_exponent: int) -> list[tuple[int, int]]:
@@ -370,7 +370,7 @@ def search(params: LatticeParams, n_parties: int, n_operators: int,
         crossings = sum(crossing(a, b)
                         for a, b in itertools.combinations(chosen_rows, 2))
         if crossings % d:
-            key = canonical_rows(chosen_rows, n_parties)
+            key = canonical_rows(chosen_rows)
             if key not in found:
                 found[key] = set_from_rows(d, key)
 

@@ -187,7 +187,6 @@ def _comb_wavefunction(comb: GaussianComb, x: np.ndarray) -> np.ndarray:
 
 
 def quadrature_check(state: ProductStateSum, word: WeylWord,
-                     x_max: float | None = None,
                      n_points: int = 40001) -> complex:
     """Same expectation as `weyl_expectation`, by direct grid integration.
 
@@ -198,12 +197,11 @@ def quadrature_check(state: ProductStateSum, word: WeylWord,
     if word.n_parties != state.n_parties:
         raise ValueError("word and state party counts differ")
     action = _word_action(word)
-    if x_max is None:
-        reach = max(abs(c) for _, f in state.terms
-                    for comb in f for c in comb.centers)
-        delta = state.terms[0][1][0].delta
-        shift_max = max(abs(s) for _, s in action)
-        x_max = reach + shift_max + 12.0 * delta + 2.0
+    reach = max(abs(c) for _, f in state.terms
+                for comb in f for c in comb.centers)
+    delta = state.terms[0][1][0].delta
+    shift_max = max(abs(s) for _, s in action)
+    x_max = reach + shift_max + 12.0 * delta + 2.0
     x = np.linspace(-x_max, x_max, n_points)
     spacing = x[1] - x[0]
     min_delta = min(comb.delta for _, f in state.terms for comb in f)

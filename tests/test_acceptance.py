@@ -127,8 +127,7 @@ def test_criterion_6_search_rediscovery(capsys):
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     target = canonicalize(builtin("v4"))
-    keys = {tuple(w.exponents for w in s.operators) for s in results}
-    assert tuple(w.exponents for w in target.operators) in keys
+    assert target.rows in {s.rows for s in results}
     for s in results:
         assert verify(s).is_paradox
     with capsys.disabled():

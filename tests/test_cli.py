@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cvghz import cli
+from cvghz import cli, paradox, states
 from cvghz.paradox import builtin
 
 
@@ -14,16 +14,19 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def forbid(monkeypatch, module, name):
+    """Make module.name fail the test if anything calls it."""
+    def called(*args, **kwargs):
+        pytest.fail(f"{name} ran")
+    monkeypatch.setattr(module, name, called)
+
+
 class TestFileFormat:
     def test_round_trip_builtins(self):
         for name in ("v4", "w6"):
             s = builtin(name)
             again = cli.set_from_dict(cli.set_to_dict(s))
-            assert again.params == s.params
-            assert again.n_parties == s.n_parties
-            assert [w.exponents for w in again.operators] == \
-                   [w.exponents for w in s.operators]
-            assert again.name == s.name
+            assert again == s
 
     @pytest.mark.parametrize("mutation", [
         lambda d: d.pop("d"),
@@ -138,6 +141,18 @@ class TestSearch:
             code2, _, _ = run(capsys, "verify", "--file", str(f))
             assert code2 == 0
 
+    def test_emit_into_regular_file_rejected_before_search(
+            self, capsys, monkeypatch, tmp_path):
+        target = tmp_path / "taken"
+        target.write_text("keep\n")
+        forbid(monkeypatch, paradox, "search")
+        code, out, err = run(capsys, "search", "--parties", "1", "--dim",
+                             "2", "--operators", "2", "--max-exp", "1",
+                             "--emit", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: ") and err.count("\n") == 1
+        assert target.read_text() == "keep\n"
+
 
 class TestOracle:
     def test_v4(self, capsys):
@@ -214,6 +229,15 @@ class TestSimulate:
             code, out, err = run(capsys, "simulate", *argv)
             assert (code, out) == (2, ""), argv
             assert "finite" in err
+
+    def test_out_in_missing_dir_rejected_before_study(
+            self, capsys, monkeypatch, tmp_path):
+        forbid(monkeypatch, states, "convergence_study")
+        code, out, err = run(capsys, "simulate", "--delta", "0.05",
+                             "--out", str(tmp_path / "missing" / "x.csv"))
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: ") and err.count("\n") == 1
+        assert not (tmp_path / "missing").exists()
 
     def test_byte_deterministic(self, capsys, tmp_path):
         a = tmp_path / "a.csv"

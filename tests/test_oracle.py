@@ -164,8 +164,6 @@ class TestCheckSet:
         assert report.max_commutator_norm < 1e-10
         assert report.product_deviation < 1e-10
         assert report.max_unitarity_defect < 1e-10
-        assert report.product_is_scalar
-        assert report.product_phase_turns == 0.5
 
     def test_noncommuting_pair_reported(self):
         # {X_A, Y_A} at d=2: Frobenius norm of [X, Y] = 2*sqrt(2),
@@ -181,7 +179,6 @@ class TestCheckSet:
         s = set_from_rows(2, [((0, 0), (0, 0))])
         report = check_set(s)
         assert report.product_deviation < 1e-15
-        assert report.product_phase_turns == 0.0
 
 
 class TestJointEigenvector:
@@ -237,7 +234,7 @@ class TestJointEigenvector:
 
 def test_padded_v4_at_dimension_2_pow_16():
     # v4 on 3 of 16 parties: D = 2**16, far beyond any dense matrix
-    rows = [w.exponents + ((0, 0),) * 13 for w in builtin("v4").operators]
+    rows = [row + ((0, 0),) * 13 for row in builtin("v4").rows]
     s = set_from_rows(2, rows)
     start = time.perf_counter()
     report = check_set(s, dim_ceiling=2 ** 16)

@@ -15,7 +15,7 @@ from cvghz.paradox import (LhvAssignment, OperatorSet, SearchSpaceError,
                            builtin, canonical_rows, canonicalize,
                            column_sums, lhv_value, search, set_from_rows,
                            verify)
-from cvghz.weyl import LatticeParams, RationalPhase, make_generator
+from cvghz.weyl import LatticeParams, RationalPhase, WeylWord
 
 HALF = RationalPhase(1, 2)
 
@@ -30,19 +30,18 @@ class TestBuiltins:
         s = builtin("v4")
         assert s.params.d == 2
         assert s.n_parties == 3
-        assert len(s.operators) == 4
-        assert s.operators[0].exponents == ((1, 0), (1, 0), (1, 0))
+        assert len(s.rows) == 4
+        assert s.rows[0] == ((1, 0), (1, 0), (1, 0))
         # second operator: X_A^-pi Y_B^-pi Y_C^pi
-        assert s.operators[1].exponents == ((-1, 0), (0, -1), (0, 1))
+        assert s.rows[1] == ((-1, 0), (0, -1), (0, 1))
 
     def test_w6_shape(self):
         s = builtin("w6")
         assert s.params.d == 4
         assert s.n_parties == 5
-        assert len(s.operators) == 6
+        assert len(s.rows) == 6
         # last operator: Y_A^-3q Y_B^q Y_C^q Y_D^q X_E^-q
-        assert s.operators[5].exponents == (
-            (0, -3), (0, 1), (0, 1), (0, 1), (-1, 0))
+        assert s.rows[5] == ((0, -3), (0, 1), (0, 1), (0, 1), (-1, 0))
 
     def test_all_builtin_words_phase_free(self):
         for name in ("v4", "w6"):
@@ -51,6 +50,24 @@ class TestBuiltins:
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             builtin("v5")
+
+
+class TestOperatorSet:
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            OperatorSet(LatticeParams(2), ())
+
+    def test_ragged_matrix_rejected(self):
+        with pytest.raises(ValueError, match="party count"):
+            set_from_rows(2, [((1, 0), (0, 1)), ((1, 0),)])
+
+    def test_operators_are_the_rows_as_phase_free_words(self):
+        s = set_from_rows(3, [[[1, 2], [0, -1]], [[-1, 0], [2, 2]]])
+        assert s.rows == (((1, 2), (0, -1)), ((-1, 0), (2, 2)))
+        assert s.n_parties == 2
+        assert s.operators == (WeylWord(s.params, s.rows[0]),
+                               WeylWord(s.params, s.rows[1]))
+        assert all(w.phase.is_zero for w in s.operators)
 
 
 class TestVerify:
@@ -67,8 +84,7 @@ class TestVerify:
                 assert report.pairwise_phases[i][j].is_zero
 
     def test_single_generator_not_paradox(self):
-        p = LatticeParams(2)
-        s = OperatorSet(p, 3, (make_generator(p, 3, 0, "X", 1),))
+        s = set_from_rows(2, [((1, 0), (0, 0), (0, 0))])
         report = verify(s)
         assert not report.is_lhv_trivial
         assert report.product_phase is None
@@ -86,9 +102,8 @@ class TestVerify:
     def test_order_invariance(self):
         s = builtin("v4")
         base = verify(s)
-        perm = OperatorSet(s.params, s.n_parties,
-                           (s.operators[2], s.operators[0],
-                            s.operators[3], s.operators[1]))
+        perm = OperatorSet(s.params,
+                           (s.rows[2], s.rows[0], s.rows[3], s.rows[1]))
         report = verify(perm)
         assert report.is_paradox == base.is_paradox
         assert report.product_phase == base.product_phase
@@ -104,15 +119,13 @@ class TestLhv:
             assert abs(v - 1) < 1e-12
 
     def test_zero_assignment_single_generator(self):
-        p = LatticeParams(2)
-        s = OperatorSet(p, 1, (make_generator(p, 1, 0, "X", 1),))
+        s = set_from_rows(2, [((1, 0),)])
         v = lhv_value(s, LhvAssignment((0.0,), (0.0,)))
         assert abs(v - 1) < 1e-15
 
     def test_single_generator_sweep_matches_exponential(self):
         # d=2: X_A^pi is assigned e^{i*pi*x_A}
-        p = LatticeParams(2)
-        s = OperatorSet(p, 1, (make_generator(p, 1, 0, "X", 1),))
+        s = set_from_rows(2, [((1, 0),)])
         for x in np.linspace(-3, 3, 13):
             v = lhv_value(s, LhvAssignment((float(x),), (0.0,)))
             assert abs(v - cmath.exp(1j * math.pi * x)) < 1e-12
@@ -175,7 +188,7 @@ class TestCanonicalization:
     @given(exponent_matrices())
     def test_matches_brute_force(self, case):
         rows, n = case
-        assert canonical_rows(rows, n) == reference_canonical_rows(rows, n)
+        assert canonical_rows(rows) == reference_canonical_rows(rows, n)
 
     @settings(max_examples=300, deadline=None)
     @given(exponent_matrices(), st.data())
@@ -187,23 +200,26 @@ class TestCanonicalization:
         relabeled = [tuple((s * row[p][0], s * row[p][1])
                            for s, p in zip(signs, perm)) for row in rows]
         relabeled = data.draw(st.permutations(relabeled))
-        assert canonical_rows(relabeled, n) == canonical_rows(rows, n)
+        assert canonical_rows(relabeled) == canonical_rows(rows)
 
     def test_idempotent(self):
         s = canonicalize(builtin("v4"))
-        assert canonicalize(s).operators == s.operators
+        assert canonicalize(s).rows == s.rows
+
+    def test_keeps_params_and_name(self):
+        s = canonicalize(builtin("w6"))
+        assert (s.params, s.name) == (builtin("w6").params, "w6")
+        assert s.rows == canonical_rows(builtin("w6").rows)
 
     def test_party_relabeling_merges(self):
-        s = builtin("v4")
-        rows = [w.exponents for w in s.operators]
+        rows = builtin("v4").rows
         relabeled = [(r[2], r[0], r[1]) for r in rows]
-        assert canonical_rows(rows, 3) == canonical_rows(relabeled, 3)
+        assert canonical_rows(rows) == canonical_rows(relabeled)
 
     def test_per_party_negation_merges(self):
-        s = builtin("v4")
-        rows = [w.exponents for w in s.operators]
+        rows = builtin("v4").rows
         flipped = [((-r[0][0], -r[0][1]), r[1], r[2]) for r in rows]
-        assert canonical_rows(rows, 3) == canonical_rows(flipped, 3)
+        assert canonical_rows(rows) == canonical_rows(flipped)
 
     def test_preserves_paradox(self):
         assert verify(canonicalize(builtin("v4"))).is_paradox
@@ -234,7 +250,7 @@ def reference_search(d, n_parties, n_operators, max_exponent,
 
 
 def search_keys(results):
-    return [tuple(w.exponents for w in s.operators) for s in results]
+    return [s.rows for s in results]
 
 
 UNIT_PAIRS = [(m, n) for m in (-1, 0, 1) for n in (-1, 0, 1)]
@@ -310,9 +326,9 @@ class TestSearch:
         fold = (lambda e: min(e, (-e[0], -e[1]))) if closed else (lambda e: e)
         hits = []
 
-        def recording(rows, n):
+        def recording(rows):
             hits.append(list(rows))
-            return canonical_rows(rows, n)
+            return canonical_rows(rows)
 
         monkeypatch.setattr(paradox, "canonical_rows", recording)
         search(LatticeParams(d), n_parties, n_operators, 1,
@@ -339,12 +355,12 @@ class TestSearch:
         assert results
         for s in results:
             assert verify(s).is_paradox
-            assert canonicalize(s).operators == s.operators
+            assert canonicalize(s).rows == s.rows
 
     def test_deterministic(self):
         a = search(LatticeParams(2), 2, 3, 1)
         b = search(LatticeParams(2), 2, 3, 1)
-        assert [s.operators for s in a] == [s.operators for s in b]
+        assert [s.rows for s in a] == [s.rows for s in b]
 
     def test_refusal_with_size_estimate(self):
         with pytest.raises(SearchSpaceError) as exc:
@@ -399,7 +415,6 @@ def test_search_rediscovers_w6_pattern():
     results = search(LatticeParams(4), 5, 6, 3, allowed_pairs=pairs,
                      space_ceiling=1e14)
     target = canonicalize(builtin("w6"))
-    keys = {tuple(w.exponents for w in s.operators) for s in results}
-    assert tuple(w.exponents for w in target.operators) in keys
+    assert target.rows in {s.rows for s in results}
     for s in results:
         assert verify(s).is_paradox
