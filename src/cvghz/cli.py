@@ -25,10 +25,9 @@ import os
 import sys
 from typing import Optional
 
-from . import oracle as oracle_mod
-from . import paradox, states
+from . import paradox
 from .paradox import OperatorSet, SearchSpaceError
-from .weyl import LatticeParams, RationalPhase, WeylWord
+from .weyl import LatticeParams, WeylWord
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -214,24 +213,36 @@ def cmd_search(args) -> int:
         return EXIT_REFUSED
     except ValueError as exc:
         raise InputError(str(exc)) from None
+    if args.emit:  # files first, so that a failed write leaves stdout empty
+        for i, op_set in enumerate(results):
+            path = os.path.join(args.emit, f"paradox_{i:04d}.json")
+            try:
+                with open(path, "w", encoding="utf-8") as fh:
+                    json.dump(set_to_dict(op_set), fh, indent=2)
+                    fh.write("\n")
+            except OSError as exc:
+                raise InputError(f"cannot write {path}: {exc}") from None
     print(f"{len(results)} paradox class(es) found")
     for i, op_set in enumerate(results):
         print(f"-- class {i}:")
         for w in op_set.operators:
             print(f"   {render_word(w)}")
-        if args.emit:
-            path = os.path.join(args.emit, f"paradox_{i:04d}.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(set_to_dict(op_set), fh, indent=2)
-                fh.write("\n")
     return EXIT_OK if results else EXIT_NEGATIVE
 
 
 def cmd_oracle(args) -> int:
+    from . import oracle  # numpy loads only for the subcommands that use it
+
     if not math.isfinite(args.tol):
         raise InputError(f"--tol must be finite, got {args.tol}")
     op_set = load_set(args.set, args.file)
-    report = oracle_mod.check_set(op_set, dim_ceiling=args.max_dim)
+    ceiling = (oracle.DEFAULT_DIM_CEILING if args.max_dim is None
+               else args.max_dim)
+    try:
+        report = oracle.check_set(op_set, dim_ceiling=ceiling)
+    except oracle.DimensionCeilingError as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+        return EXIT_REFUSED
     sym = paradox.verify(op_set)
     lines = {
         "dimension": report.dimension,
@@ -246,8 +257,8 @@ def cmd_oracle(args) -> int:
           and report.max_unitarity_defect < args.tol)
     eig_lines = None
     if sym.is_commuting:
-        _, vals = oracle_mod.joint_eigenvector(op_set, seed=args.seed,
-                                               dim_ceiling=args.max_dim)
+        _, vals = oracle.joint_eigenvector(op_set, seed=args.seed,
+                                           dim_ceiling=ceiling)
         prod = 1.0 + 0.0j
         for v in vals:
             prod *= v
@@ -255,7 +266,7 @@ def cmd_oracle(args) -> int:
             "eigenvalues": [_fmt_complex(v) for v in vals],
             "eigenvalue_product": _fmt_complex(prod),
         }
-        ok = ok and all(abs(abs(v) - 1.0) < oracle_mod.EIGEN_TOL
+        ok = ok and all(abs(abs(v) - 1.0) < oracle.EIGEN_TOL
                         for v in vals)
     if args.json:
         data = dict(lines)
@@ -275,6 +286,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import states
+
     try:
         deltas = [float(s) for s in args.delta.split(",") if s.strip()]
     except ValueError as exc:
@@ -347,8 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "re-check")
     p.add_argument("--set", help="built-in set name (v4 or w6)")
     p.add_argument("--file", help="operator-set JSON file")
-    p.add_argument("--max-dim", type=int,
-                   default=oracle_mod.DEFAULT_DIM_CEILING)
+    p.add_argument("--max-dim", type=int)  # None: the oracle's default
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the joint-eigenvector start vector")
@@ -379,9 +391,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except oracle_mod.DimensionCeilingError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_REFUSED
 
 
 def entry_point() -> None:

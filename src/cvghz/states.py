@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle
-from .paradox import OperatorSet, builtin
+from .paradox import builtin
 from .weyl import LatticeParams, WeylWord, identity_word
 
 OVERLAP_CUTOFF = 1e-16  # peak pairs below this Gaussian factor are dropped
@@ -80,21 +80,37 @@ def comb_matrix_element(bra: GaussianComb, ket: GaussianComb,
     b in ket) is
         exp(-(a - b + s)^2 / (8 delta^2))
       * exp(i*mu*(a + b - s)/2) * exp(-mu^2 delta^2 / 2).
+
+    Pairs whose Gaussian factor is below OVERLAP_CUTOFF are dropped.  Only
+    pairs in the band |a - b + s| <= sqrt(8 delta^2 ln(1/OVERLAP_CUTOFF))
+    (about 17 delta) can pass it, so the sum runs over that band alone:
+    the shifted ket centers are sorted once and each bra peak finds its
+    band with `searchsorted`, costing O(P log P + pairs in the band)
+    instead of O(P^2) for P peaks.
     """
     if bra.delta != ket.delta:
         raise ValueError("matrix element requires equal peak widths")
     d2 = bra.delta * bra.delta
     a = np.asarray(bra.centers)
     b = np.asarray(ket.centers) - shift  # shifted ket peak centers
-    wa = np.asarray(bra.weights).conj()
-    wb = np.asarray(ket.weights)
-    gap = a[:, None] - b[None, :]
+    order = np.argsort(b, kind="stable")
+    b = b[order]
+    wb = np.asarray(ket.weights)[order]
+    reach = math.sqrt(8.0 * d2 * math.log(1.0 / OVERLAP_CUTOFF))
+    lo = np.searchsorted(b, a - reach, side="left")
+    counts = np.searchsorted(b, a + reach, side="right") - lo
+    # pair k is (bra i[k], ket j[k]); bra i pairs with kets
+    # lo[i], ..., lo[i] + counts[i] - 1
+    i = np.repeat(np.arange(len(a)), counts)
+    j = np.arange(len(i)) + np.repeat(lo - (np.cumsum(counts) - counts),
+                                      counts)
+    gap = a[i] - b[j]
     gauss = np.exp(-gap * gap / (8.0 * d2))
     gauss[gauss < OVERLAP_CUTOFF] = 0.0
-    phase = np.exp(0.5j * mu * (a[:, None] + b[None, :]))
+    phase = np.exp(0.5j * mu * (a[i] + b[j]))
     damping = math.exp(-0.5 * mu * mu * d2)
-    return complex(damping * (wa[:, None] * wb[None, :]
-                              * gauss * phase).sum())
+    wa = np.asarray(bra.weights).conj()
+    return complex(damping * (wa[i] * wb[j] * gauss * phase).sum())
 
 
 def normalized_comb(comb: GaussianComb) -> GaussianComb:

@@ -1,9 +1,14 @@
 """CLI contract: exit codes, file format round trip, deterministic output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cvghz
 from cvghz import cli, paradox, states
 from cvghz.paradox import builtin
 
@@ -153,6 +158,17 @@ class TestSearch:
         assert err.startswith("input error: ") and err.count("\n") == 1
         assert target.read_text() == "keep\n"
 
+    def test_emit_write_failure_exit_two_before_output(self, capsys,
+                                                        tmp_path):
+        # the second class's file name is taken by a directory
+        (tmp_path / "paradox_0001.json").mkdir()
+        code, out, err = run(capsys, "search", "--parties", "1", "--dim",
+                             "2", "--operators", "2", "--max-exp", "1",
+                             "--emit", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: cannot write ")
+        assert err.count("\n") == 1
+
 
 class TestOracle:
     def test_v4(self, capsys):
@@ -169,6 +185,15 @@ class TestOracle:
         assert code == 3
         assert out == ""
         assert err == "refused: dense dimension 1024 exceeds ceiling 512\n"
+
+    def test_default_dimension_ceiling(self, capsys, tmp_path):
+        # 13 qubit parties: D = 8192, above the default ceiling of 4096
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(
+            {"d": 2, "parties": 13, "operators": [[[1, 0]] * 13]}))
+        code, out, err = run(capsys, "oracle", "--file", str(path))
+        assert (code, out) == (3, "")
+        assert err == "refused: dense dimension 8192 exceeds ceiling 4096\n"
 
     def test_non_finite_tol_exit_two(self, capsys):
         for tol in ("nan", "inf", "-inf"):
@@ -245,6 +270,38 @@ class TestSimulate:
         run(capsys, "simulate", "--delta", "0.1,0.05", "--out", str(a))
         run(capsys, "simulate", "--delta", "0.1,0.05", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+
+_NUMPY_PROBE = "\nimport sys\nprint('numpy' in sys.modules)"
+
+
+def numpy_loaded(code: str) -> bool:
+    """Run `code` in a fresh interpreter; did it import numpy?"""
+    src = str(Path(cvghz.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", code + _NUMPY_PROBE],
+                          capture_output=True, text=True, env=env,
+                          check=True)
+    return proc.stdout.splitlines()[-1] == "True"
+
+
+class TestStartup:
+    """`verify` and `search` never touch numpy, so they do not load it."""
+
+    @pytest.mark.parametrize("code", [
+        "import cvghz",
+        "from cvghz import cli; cli.main(['--help'])",
+        "from cvghz import cli; cli.main(['verify', '--set', 'v4'])",
+        "from cvghz import cli; cli.main(['search', '--parties', '1', "
+        "'--dim', '2', '--operators', '2', '--max-exp', '1'])",
+    ])
+    def test_numpy_not_loaded(self, code):
+        assert not numpy_loaded(code)
+
+    def test_probe_sees_numpy(self):
+        assert numpy_loaded("from cvghz import cli; "
+                            "cli.main(['oracle', '--set', 'v4'])")
 
 
 def test_bad_flags_exit_two(capsys):

@@ -4,15 +4,40 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvghz import oracle
 from cvghz.paradox import builtin
-from cvghz.states import (GaussianComb, ProductStateSum, comb_overlap,
+from cvghz.states import (OVERLAP_CUTOFF, GaussianComb, ProductStateSum,
+                          comb_matrix_element, comb_overlap,
                           convergence_study, ghz_state, make_comb,
                           quadrature_check, state_norm, weyl_expectation)
 from cvghz.weyl import LatticeParams, RationalPhase, WeylWord, identity_word
 
 D2 = LatticeParams(2)
+# the largest |a - b + s| whose Gaussian factor can reach OVERLAP_CUTOFF
+BAND_REACH = math.sqrt(8.0 * math.log(1.0 / OVERLAP_CUTOFF))  # times delta
+
+
+def reference_comb_matrix_element(bra, ket, mu, shift):
+    """`comb_matrix_element` over the full P x P matrix of peak pairs.
+
+    Every pair is evaluated and the pairs under OVERLAP_CUTOFF are zeroed;
+    the reference that the banded sum must equal.
+    """
+    d2 = bra.delta * bra.delta
+    a = np.asarray(bra.centers)
+    b = np.asarray(ket.centers) - shift
+    wa = np.asarray(bra.weights).conj()
+    wb = np.asarray(ket.weights)
+    gap = a[:, None] - b[None, :]
+    gauss = np.exp(-gap * gap / (8.0 * d2))
+    gauss[gauss < OVERLAP_CUTOFF] = 0.0
+    phase = np.exp(0.5j * mu * (a[:, None] + b[None, :]))
+    damping = math.exp(-0.5 * mu * mu * d2)
+    return complex(damping * (wa[:, None] * wb[None, :]
+                              * gauss * phase).sum())
 
 
 def single_party_state(comb):
@@ -96,6 +121,60 @@ class TestGhzState:
             a = weyl_expectation(state, w)
             b = weyl_expectation(state, swapped)
             assert abs(a - b) < 1e-10
+
+
+# unsorted centers, with repeats (integers) and off-lattice values
+_centers = st.lists(st.one_of(st.integers(-20, 20).map(float),
+                              st.floats(-20, 20)), min_size=1, max_size=12)
+_weights = st.complex_numbers(max_magnitude=10, allow_nan=False,
+                              allow_infinity=False)
+
+
+@st.composite
+def comb_pairs(draw):
+    delta = draw(st.floats(1e-3, 1))
+    combs = []
+    for _ in range(2):
+        centers = draw(_centers)
+        weights = draw(st.lists(_weights, min_size=len(centers),
+                                max_size=len(centers)))
+        combs.append(GaussianComb(tuple(centers), tuple(weights), delta))
+    return combs
+
+
+class TestBandedMatrixElement:
+    @settings(max_examples=200, deadline=None)
+    @given(comb_pairs(), st.floats(-10, 10),
+           # |shift| >= 60 puts every pair outside the band
+           st.one_of(st.floats(-5, 5), st.floats(60, 100),
+                     st.floats(-100, -60)))
+    def test_matches_dense_reference(self, combs, mu, shift):
+        bra, ket = combs
+        got = comb_matrix_element(bra, ket, mu, shift)
+        want = reference_comb_matrix_element(bra, ket, mu, shift)
+        scale = (sum(map(abs, bra.weights))
+                 * sum(map(abs, ket.weights)))
+        assert abs(got - want) <= 1e-12 * scale
+        reach = BAND_REACH * bra.delta
+        if all(abs(a - b + shift) > 1.01 * reach  # clear of rounding
+               for a in bra.centers for b in ket.centers):
+            assert got == 0
+
+    def test_peaks_on_both_band_edges_kept(self):
+        # ket peaks exactly at a - reach and a + reach: a pair on the
+        # edge is summed whenever the cutoff keeps it
+        kept = 0
+        for delta in np.linspace(0.01, 1.0, 40):
+            reach = math.sqrt(8.0 * delta * delta
+                              * math.log(1.0 / OVERLAP_CUTOFF))
+            bra = GaussianComb((0.0,), (1.0,), delta)
+            ket = GaussianComb((-reach, reach), (1.0, 2.0), delta)
+            want = reference_comb_matrix_element(bra, ket, 0.0, 0.0)
+            if want == 0:
+                continue
+            kept += 1
+            assert comb_matrix_element(bra, ket, 0.0, 0.0) == want
+        assert kept
 
 
 class TestWeylExpectation:
