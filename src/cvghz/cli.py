@@ -3,7 +3,8 @@
 Exit codes are a stable contract:
   0  success (paradox confirmed / checks passed)
   1  well-formed negative result
-  2  input error (bad flags, malformed file)
+  2  input error (bad flags, malformed file, an output that cannot be
+     written, stdout included)
   3  resource refusal (search space or matrix dimension too large)
 
 Operator-set files are JSON::
@@ -92,7 +93,10 @@ def set_from_dict(data: dict) -> OperatorSet:
                 raise InputError(
                     f"operator {i}, party {j}: entry must be an "
                     f"[m, n] integer pair, got {pair!r}")
-    return paradox.set_from_rows(d, ops, name=data.get("name"))
+    name = data.get("name")
+    if name is not None and not isinstance(name, str):
+        raise InputError(f"field 'name' must be a string, got {name!r}")
+    return paradox.set_from_rows(d, ops, name=name)
 
 
 def load_set(spec: Optional[str], path: Optional[str]) -> OperatorSet:
@@ -298,24 +302,29 @@ def cmd_simulate(args) -> int:
         fh = open(args.out, "w", encoding="utf-8") if args.out else None
     except OSError as exc:
         raise InputError(f"cannot write {args.out}: {exc}") from None
-    with fh or contextlib.nullcontext(sys.stdout) as out:
-        try:
-            rows = states.convergence_study(deltas, n_peaks=args.peaks,
-                                            envelope_width=args.envelope)
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
-        header = ["delta"]
-        for k in range(1, 5):
-            header += [f"re_V{k}", f"im_V{k}"]
-        header.append("deviation")
-        lines = [",".join(header)]
-        for row in rows:
-            cells = [_fmt(row.delta)]
-            for z in row.expectations:
-                cells += [_fmt(z.real), _fmt(z.imag)]
-            cells.append(_fmt(row.deviation))
-            lines.append(",".join(cells))
-        out.write("\n".join(lines) + "\n")
+    try:
+        with fh or contextlib.nullcontext(sys.stdout) as out:
+            try:
+                rows = states.convergence_study(deltas, n_peaks=args.peaks,
+                                                envelope_width=args.envelope)
+            except ValueError as exc:
+                raise InputError(str(exc)) from None
+            header = ["delta"]
+            for k in range(1, 5):
+                header += [f"re_V{k}", f"im_V{k}"]
+            header.append("deviation")
+            lines = [",".join(header)]
+            for row in rows:
+                cells = [_fmt(row.delta)]
+                for z in row.expectations:
+                    cells += [_fmt(z.real), _fmt(z.imag)]
+                cells.append(_fmt(row.deviation))
+                lines.append(",".join(cells))
+            out.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        if fh is None:
+            raise  # stdout: `main` reports it
+        raise InputError(f"cannot write {args.out}: {exc}") from None
     monotone = all(a.deviation >= b.deviation - 1e-12
                    for a, b in zip(rows, rows[1:]))
     final_ok = rows[-1].deviation < args.max_dev
@@ -387,9 +396,22 @@ def main(argv: Optional[list[str]] = None) -> int:
         # argparse exits 2 on bad flags, matching the input-error contract
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a failed write is caught here
+        return code
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except OSError as exc:
+        # The subcommands turn a failure on any file they open into an
+        # InputError, so this is a failed stdout write: a full disk, or a
+        # reader that closed the pipe. Python flushes stdout again at exit,
+        # so point it at devnull first, as the `signal` docs' note on
+        # SIGPIPE does.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"input error: cannot write stdout: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

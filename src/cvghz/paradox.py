@@ -259,11 +259,14 @@ def search(params: LatticeParams, n_parties: int, n_operators: int,
     First-row rule (orderly generation): party permutations keep a row
     multiset inside the alphabet, and so do per-party sign flips when the
     alphabet is closed under negation. With fold(e) = min(e, -e) for a
-    closed alphabet and fold(e) = e otherwise, every class therefore has a
-    member whose smallest row r equals sorted(fold(e) for e in r) and whose
-    other rows all have sorted(fold(e) for e in row) >= r. The DFS starts
-    only from such rows and draws every later row, the forced one included,
-    from those keys >= r; `canonical_rows` still de-duplicates every hit.
+    closed alphabet and fold(e) = e otherwise, and key(row) =
+    sorted(fold(e) for e in row), every class therefore has a member whose
+    smallest row r equals key(r) and whose other rows all have key >= r.
+    The rows are indexed in (key(row), row) order; the DFS starts only from
+    rows with row == key(row) and never steps to a smaller index. Folding
+    and sorting never increase a tuple, so key(row) <= row, every other row
+    with key r sorts after r, and "index >= r's" is exactly "key >= r".
+    `canonical_rows` still de-duplicates every hit.
 
     Commutation masks are built party by party: symplectic(a, b) is the sum
     of the one-party forms symplectic((a_t,), (b_t,)), so for each residue
@@ -294,10 +297,17 @@ def search(params: LatticeParams, n_parties: int, n_operators: int,
     if estimate > space_ceiling:
         raise SearchSpaceError(estimate, space_ceiling)
 
-    # the product of sorted distinct pairs is already sorted and distinct
+    # rows in (key(row), row) order, for the first-row rule above
     zero_row = ((0, 0),) * n_parties
-    rows = [r for r in itertools.product(pairs, repeat=n_parties)
-            if r != zero_row]
+    closed = {(-m, -n) for m, n in pairs} == set(pairs)
+    keyed = sorted(
+        (tuple(sorted(map(min, row, [(-m, -n) for m, n in row])
+                      if closed else row)), row)
+        for row in itertools.product(pairs, repeat=n_parties)
+        if row != zero_row)
+    rows = [row for _, row in keyed]
+    first_rows = sum(1 << i for i, (key, row) in enumerate(keyed)
+                     if key == row)
     flat = [tuple(v for pair in row for v in pair) for row in rows]
     # Balanced mixed-radix code of a flat exponent vector: linear, and
     # injective on vectors with every entry in [-span, span], which covers
@@ -328,8 +338,8 @@ def search(params: LatticeParams, n_parties: int, n_operators: int,
     class_comm: dict = {}
     comm = []
     for row in rows:
-        key = tuple((m % d, n % d) for m, n in row)
-        if key not in class_comm:
+        residues = tuple((m % d, n % d) for m, n in row)
+        if residues not in class_comm:
             partial = forms[0][row[0]]
             for t in range(1, n_parties):
                 by_value = forms[t][row[t]]
@@ -337,23 +347,8 @@ def search(params: LatticeParams, n_parties: int, n_operators: int,
                 partial = [sum(partial[(s - v) % d] & by_value[v]
                                for v in range(d))
                            for s in (range(d) if t < n_parties - 1 else (0,))]
-            class_comm[key] = partial[0]
-        comm.append(class_comm[key])
-    all_from = [((1 << n_rows) - 1) ^ ((1 << i) - 1) for i in range(n_rows)]
-
-    # First-row rule: key[i] is row i's sorted folded entries, and
-    # at_least[key] the rows whose key is >= key.
-    if {(-m, -n) for m, n in pairs} == set(pairs):
-        keys = [tuple(sorted(map(min, row, [(-m, -n) for m, n in row])))
-                for row in rows]
-    else:
-        keys = [tuple(sorted(row)) for row in rows]
-    at_least = dict.fromkeys(keys, 0)
-    for i, key in enumerate(keys):
-        at_least[key] |= 1 << i
-    above = 0
-    for key in sorted(at_least, reverse=True):
-        above = at_least[key] = above | at_least[key]
+            class_comm[residues] = partial[0]
+        comm.append(class_comm[residues])
 
     # Per-column bounds of a single row's contribution, for sum pruning.
     lo = [min(f[c] for f in flat) for c in range(2 * n_parties)]
@@ -365,7 +360,9 @@ def search(params: LatticeParams, n_parties: int, n_operators: int,
     def emit(chosen_idx: list[int]) -> None:
         # Commutation and zero column sums hold by construction; only the
         # product phase, -sum over i < j of crossing(row_i, row_j) / d,
-        # decides paradox-hood here.
+        # decides paradox-hood here. Swapping two rows changes that sum by
+        # their symplectic form, 0 mod d for commuting rows, so the phase
+        # mod d does not depend on the order the DFS chose.
         chosen_rows = [rows[i] for i in chosen_idx]
         crossings = sum(crossing(a, b)
                         for a, b in itertools.combinations(chosen_rows, 2))
@@ -409,13 +406,11 @@ def search(params: LatticeParams, n_parties: int, n_operators: int,
                     break
             if ok:
                 _stack.append(i)
-                child = cands & comm[i] & all_from[i]
+                child = (cands & comm[i]) >> i << i  # index >= i
                 extend(depth + 1, child, child, new_sums)
                 _stack.pop()
 
     _stack: list[int] = []
     zero_sums = (0,) * (2 * n_parties)
-    for i, row in enumerate(rows):
-        if row == keys[i]:
-            extend(0, 1 << i, at_least[row], zero_sums)
+    extend(0, first_rows, (1 << n_rows) - 1, zero_sums)
     return [found[k] for k in sorted(found)]

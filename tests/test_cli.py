@@ -19,6 +19,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def cvghz_env() -> dict:
+    """The environment of a fresh interpreter that imports this cvghz."""
+    src = str(Path(cvghz.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
+CVGHZ = [sys.executable, "-m", "cvghz.cli"]
+
+
 def forbid(monkeypatch, module, name):
     """Make module.name fail the test if anything calls it."""
     def called(*args, **kwargs):
@@ -41,12 +51,20 @@ class TestFileFormat:
         lambda d: d["operators"][0].pop(),
         lambda d: d["operators"][0].__setitem__(0, [1, "x"]),
         lambda d: d["operators"][0].__setitem__(0, [True, False]),
+        lambda d: d.update(name=["x", 1]),
+        lambda d: d.update(name=4),
     ])
     def test_malformed_rejected(self, mutation):
         data = cli.set_to_dict(builtin("v4"))
         mutation(data)
         with pytest.raises(cli.InputError):
             cli.set_from_dict(data)
+
+    def test_name_may_be_null_or_missing(self):
+        data = cli.set_to_dict(builtin("v4"))
+        assert cli.set_from_dict(dict(data, name=None)).name is None
+        del data["name"]
+        assert cli.set_from_dict(data).name is None
 
 
 class TestVerify:
@@ -92,6 +110,15 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err.startswith("input error: ")
+
+    def test_non_string_name_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "named.json"
+        path.write_text(json.dumps(
+            dict(cli.set_to_dict(builtin("v4")), name=["x", 1])))
+        code, out, err = run(capsys, "verify", "--file", str(path))
+        assert (code, out) == (2, "")
+        assert err == "input error: field 'name' must be a string, " \
+                      "got ['x', 1]\n"
 
     def test_unknown_builtin_exit_two(self, capsys):
         code, _, _ = run(capsys, "verify", "--set", "nope")
@@ -272,16 +299,80 @@ class TestSimulate:
         assert a.read_bytes() == b.read_bytes()
 
 
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                    reason="needs /dev/full")
+
+
+class TestStdoutFailure:
+    """An output that cannot be written exits 2 with one stderr line."""
+
+    @needs_dev_full
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--set", "v4"],
+        ["search", "--parties", "3", "--dim", "2", "--operators", "3",
+         "--max-exp", "1"],
+        ["simulate", "--delta", "0.2"],
+    ])
+    def test_full_device(self, argv):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(CVGHZ + argv, stdout=full, text=True,
+                                  stderr=subprocess.PIPE, env=cvghz_env())
+        assert proc.returncode == 2
+        assert proc.stderr == ("input error: cannot write stdout: "
+                               "[Errno 28] No space left on device\n")
+
+    def test_reader_closes_pipe(self):
+        # as `| head -1`: the output (2,758 classes) is far larger than
+        # the pipe's buffer, so the search is still writing when the
+        # reader goes away
+        proc = subprocess.Popen(
+            CVGHZ + ["search", "--parties", "3", "--dim", "2",
+                     "--operators", "4", "--max-exp", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cvghz_env())
+        assert proc.stdout.readline() == b"2758 paradox class(es) found\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 2
+        assert err == b"input error: cannot write stdout: [Errno 32] " \
+                      b"Broken pipe\n"
+
+    @needs_dev_full
+    def test_out_file_failure_names_the_file(self, capsys):
+        code, out, err = run(capsys, "simulate", "--delta", "0.2",
+                             "--out", "/dev/full")
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: cannot write /dev/full: ")
+        assert err.count("\n") == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_search_memory_is_bounded(tmp_path):
+    # 225 pairs per party give 50,624 rows; one bitmask of that many bits
+    # per row took this search to 420 MiB
+    out_path = tmp_path / "out.txt"
+    with open(out_path, "wb") as out:
+        proc = subprocess.Popen(
+            CVGHZ + ["search", "--parties", "2", "--dim", "2",
+                     "--operators", "2", "--max-exp", "7"],
+            stdout=out, env=cvghz_env())
+        _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    assert out_path.read_text().startswith("2592 paradox class(es) found\n")
+    # ru_maxrss is in KiB on Linux and in bytes on macOS
+    peak_mib = usage.ru_maxrss / (2 ** 20 if sys.platform == "darwin"
+                                  else 2 ** 10)
+    assert peak_mib < 120
+
+
 _NUMPY_PROBE = "\nimport sys\nprint('numpy' in sys.modules)"
 
 
 def numpy_loaded(code: str) -> bool:
     """Run `code` in a fresh interpreter; did it import numpy?"""
-    src = str(Path(cvghz.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run([sys.executable, "-c", code + _NUMPY_PROBE],
-                          capture_output=True, text=True, env=env,
+                          capture_output=True, text=True, env=cvghz_env(),
                           check=True)
     return proc.stdout.splitlines()[-1] == "True"
 
