@@ -235,10 +235,12 @@ def cmd_search(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    from . import oracle  # numpy loads only for the subcommands that use it
+    from . import oracle  # the checks need only the standard library
 
     if not math.isfinite(args.tol):
         raise InputError(f"--tol must be finite, got {args.tol}")
+    if args.seed < 0:
+        raise InputError(f"--seed must be >= 0, got {args.seed}")
     op_set = load_set(args.set, args.file)
     ceiling = (oracle.DEFAULT_DIM_CEILING if args.max_dim is None
                else args.max_dim)
@@ -290,8 +292,10 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from . import states
+    from . import states  # loads numpy
 
+    if not math.isfinite(args.max_dev):
+        raise InputError(f"--max-dev must be finite, got {args.max_dev}")
     try:
         deltas = [float(s) for s in args.delta.split(",") if s.strip()]
     except ValueError as exc:

@@ -6,13 +6,17 @@ d-dimensional generalized Pauli group: X maps to the clock matrix
 diag(1, w, w^2, ...) with w = exp(2*pi*i/d) and Y to the cyclic shift
 |j> -> |j+1>, so that X Y = w Y X. Each image is a generalized permutation
 matrix, so every check below costs O(D) in the dimension D = d^n.
+
+The checks use only the standard library, so `cvghz oracle` starts without
+numpy; only the dense helpers `represent` and `clock_shift` import it.
 """
 
+import cmath
+import math
+import random
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, combinations
-
-import numpy as np
 
 # perfbench/spans.py patches `cvghz.oracle.verify`; nothing here calls it.
 from .paradox import OperatorSet, verify  # noqa: F401
@@ -32,45 +36,59 @@ class DimensionCeilingError(ValueError):
             f"dense dimension {dim} exceeds ceiling {ceiling}")
 
 
-def clock_shift(d: int) -> tuple[np.ndarray, np.ndarray]:
+def clock_shift(d: int):
     """The d x d clock X = diag(w^j) and shift Y: |j> -> |j+1 mod d>."""
     params = LatticeParams(d)
     return (represent(WeylWord(params, ((1, 0),))),
             represent(WeylWord(params, ((0, 1),))))
 
 
+def _roots_of_unity(d: int) -> list[complex]:
+    return [cmath.exp(2j * math.pi * k / d) for k in range(d)]
+
+
+def _norm(vec: list[complex]) -> float:
+    return math.sqrt(math.fsum([z.real * z.real + z.imag * z.imag
+                                for z in vec]))
+
+
 @dataclass(frozen=True, eq=False)
 class Monomial:
     """D x D matrix whose column k holds coeff[k] at row image[k] only."""
 
-    image: np.ndarray  # intp, a permutation of range(D)
-    coeff: np.ndarray  # complex128
+    image: list[int]  # a permutation of range(D)
+    coeff: list[complex]
 
     @classmethod
     def scalar(cls, dim: int, value: complex) -> "Monomial":
-        return cls(np.arange(dim), np.full(dim, value, dtype=complex))
+        return cls(list(range(dim)), [complex(value)] * dim)
 
     def __matmul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(self.image[other.image],
-                        other.coeff * self.coeff[other.image])
+        image, coeff = self.image, self.coeff
+        return Monomial([image[j] for j in other.image],
+                        [c * coeff[j]
+                         for j, c in zip(other.image, other.coeff)])
 
     def dagger(self) -> "Monomial":
-        inverse = np.empty_like(self.image)
-        inverse[self.image] = np.arange(len(inverse))
-        return Monomial(inverse, self.coeff[inverse].conj())
+        inverse = [0] * len(self.image)
+        for k, j in enumerate(self.image):
+            inverse[j] = k
+        coeff = self.coeff
+        return Monomial(inverse, [coeff[k].conjugate() for k in inverse])
 
-    def apply(self, vecs: np.ndarray) -> np.ndarray:
-        """self @ vecs, for a vector or the columns of a matrix."""
-        out = np.empty(vecs.shape, dtype=complex)
-        out[self.image] = (self.coeff * vecs.T).T
+    def apply(self, vec: list[complex]) -> list[complex]:
+        """self @ vec for one vector of length D."""
+        out = [0j] * len(vec)
+        for j, c, v in zip(self.image, self.coeff, vec):
+            out[j] = c * v
         return out
 
     def distance(self, other: "Monomial") -> float:
         """Frobenius norm of self - other."""
-        sq = np.where(self.image == other.image,
-                      abs(self.coeff - other.coeff) ** 2,
-                      abs(self.coeff) ** 2 + abs(other.coeff) ** 2)
-        return float(np.sqrt(sq.sum()))
+        return math.sqrt(math.fsum([
+            abs(a - b) ** 2 if i == j else abs(a) ** 2 + abs(b) ** 2
+            for i, j, a, b in zip(self.image, other.image,
+                                  self.coeff, other.coeff)]))
 
 
 def monomial(word: WeylWord,
@@ -85,21 +103,26 @@ def monomial(word: WeylWord,
     dim = d ** word.n_parties
     if dim > dim_ceiling:
         raise DimensionCeilingError(dim, dim_ceiling)
-    image = power = np.zeros(1, dtype=np.intp)
+    image, power = [0], [0]
     for m, n in word.exponents:
         m, n = m % d, n % d
-        shifted = (np.arange(d) + n) % d
-        image = (image[:, None] * d + shifted).ravel()
-        power = (power[:, None] + m * shifted).ravel() % d
-    omega = np.exp(2j * np.pi * np.arange(d) / d)
-    return Monomial(image, word.phase.to_complex() * omega[power])
+        shifted = [(k + n) % d for k in range(d)]
+        image = [i * d + s for i in image for s in shifted]
+        power = [(p + m * s) % d for p in power for s in shifted]
+    scale = word.phase.to_complex()
+    scaled = [scale * w for w in _roots_of_unity(d)]
+    return Monomial(image, [scaled[p] for p in power])
 
 
-def represent(word: WeylWord,
-              dim_ceiling: int = DEFAULT_DIM_CEILING) -> np.ndarray:
-    """The word's image as a dense D x D matrix (tests and small D)."""
+def represent(word: WeylWord, dim_ceiling: int = DEFAULT_DIM_CEILING):
+    """The word's image as a dense D x D numpy matrix (tests and small D)."""
+    import numpy as np
+
     mon = monomial(word, dim_ceiling)
-    return mon.apply(np.eye(len(mon.image)))
+    dim = len(mon.image)
+    mat = np.zeros((dim, dim), dtype=complex)
+    mat[mon.image, np.arange(dim)] = mon.coeff
+    return mat
 
 
 def _max_commutator_norm(mons: list[Monomial]) -> float:
@@ -133,32 +156,44 @@ def check_set(op_set: OperatorSet,
 
 def joint_eigenvector(op_set: OperatorSet, seed: int = 0,
                       dim_ceiling: int = DEFAULT_DIM_CEILING
-                      ) -> tuple[np.ndarray, list[complex]]:
+                      ) -> tuple[list[complex], list[complex]]:
     """One simultaneous eigenvector of a commuting set, with its eigenvalues.
 
     Projects a seeded random vector onto an eigenspace of each image M in
     turn: M^d = c is a scalar, so (1/d) sum_t lam^{-t} M^t projects onto the
     eigenspace of each root lam of lam^d = c. The largest projection wins.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     mons = [monomial(w, dim_ceiling) for w in op_set.operators]
     if _max_commutator_norm(mons) >= EIGEN_TOL:
         raise ValueError("operator set is not commuting")
     d, dim = op_set.params.d, len(mons[0].image)
-    rng = np.random.default_rng(seed)
-    vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    rng = random.Random(seed)
+    vec = [complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
+           for _ in range(dim)]
     for mon in mons:
         powers = list(accumulate([mon] * d, Monomial.__matmul__))  # M..M^d
-        c = complex(powers[-1].coeff[0])
+        c = powers[-1].coeff[0]
         if powers[-1].distance(Monomial.scalar(dim, c)) >= EIGEN_TOL:
             raise RuntimeError("an operator's d-th power is not a scalar")
-        images = np.array([vec] + [p.apply(vec) for p in powers[:-1]])
-        roots = c ** (1 / d) * np.exp(2j * np.pi * np.arange(d) / d)
-        projections = (roots[:, None] ** -np.arange(d) / d) @ images
-        best = projections[np.argmax(np.linalg.norm(projections, axis=1))]
-        vec = best / np.linalg.norm(best)
-    vals = [complex(np.vdot(vec, m.apply(vec))) for m in mons]
-    resid = max(np.linalg.norm(m.apply(vec) - lam * vec)
-                for m, lam in zip(mons, vals))
+        images = [p.apply(vec) for p in powers[:-1]]  # M v .. M^{d-1} v
+        root = c ** (1 / d)
+        projections = []
+        for w in _roots_of_unity(d):
+            proj = [x / d for x in vec]
+            for t, image in enumerate(images, start=1):
+                weight = (root * w) ** -t / d
+                proj = [p + weight * x for p, x in zip(proj, image)]
+            projections.append(proj)
+        norms = [_norm(p) for p in projections]
+        best = max(range(d), key=norms.__getitem__)
+        vec = [z / norms[best] for z in projections[best]]
+    images = [m.apply(vec) for m in mons]
+    vals = [sum(v.conjugate() * x for v, x in zip(vec, image))
+            for image in images]
+    resid = max(_norm([x - lam * v for x, v in zip(image, vec)])
+                for image, lam in zip(images, vals))
     if resid >= EIGEN_TOL:
         raise RuntimeError("no joint eigenvector isolated; "
                            f"projection residual {resid:.3g}")
@@ -174,15 +209,17 @@ def ghz_comb_eigenvalues(op_set: OperatorSet) -> list[complex]:
     """
     if op_set.params.d != 2:
         raise ValueError("GHZ comb reference state is defined for d = 2")
-    up = np.ones(1)
+    site = (1 / math.sqrt(2), 1j / math.sqrt(2))
+    up = [1.0]
     for _ in range(op_set.n_parties):
-        up = np.outer(up, np.array([1.0, 1j]) / np.sqrt(2)).ravel()
-    state = (up - up.conj()) / np.sqrt(2)  # down...down = conj(up...up)
+        up = [u * s for u in up for s in site]
+    # down...down = conj(up...up)
+    state = [(u - u.conjugate()) / math.sqrt(2) for u in up]
     vals = []
     for w in op_set.operators:
         image = monomial(w).apply(state)
-        lam = complex(np.vdot(state, image))
-        if np.linalg.norm(image - lam * state) > EIGEN_TOL:
+        lam = sum(s.conjugate() * x for s, x in zip(state, image))
+        if _norm([x - lam * s for x, s in zip(image, state)]) > EIGEN_TOL:
             raise ValueError("GHZ comb state is not a joint eigenvector "
                              "of the given set")
         vals.append(lam)

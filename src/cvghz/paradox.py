@@ -271,7 +271,7 @@ def search(params: LatticeParams, n_parties: int, n_operators: int,
     Commutation masks are built party by party: symplectic(a, b) is the sum
     of the one-party forms symplectic((a_t,), (b_t,)), so for each residue
     class the rows whose partial form is s mod d are folded over the parties
-    from one bitmask per (party, pair).
+    from one bitmask per (party, pair mod d).
     """
     if max_exponent < 1:
         raise ValueError("max_exponent must be >= 1")
@@ -318,21 +318,26 @@ def search(params: LatticeParams, n_parties: int, n_operators: int,
     code_index = {c: i for i, c in enumerate(code)}
 
     # Commutation bitmasks: bit j of comm[i] set iff rows i and j commute.
+    # The one-party form mod d depends only on the pairs mod d, so the
+    # tables below are keyed by residue pair: at most d^2 keys, however
+    # large the alphabet.
     # forms[t][a][v]: rows whose party-t pair b has symplectic((a,), (b,))
     # = v mod d. Folding them over the parties tracks, for each s, the rows
     # whose form with row i over the parties so far is s mod d. That
     # depends only on row i mod d, so it is done once per residue class.
-    holds = [dict.fromkeys(pairs, 0) for _ in range(n_parties)]
+    residue_pairs = sorted({(m % d, n % d) for m, n in pairs})
+    holds = [dict.fromkeys(residue_pairs, 0) for _ in range(n_parties)]
     for i, row in enumerate(rows):
-        for t, pair in enumerate(row):
-            holds[t][pair] |= 1 << i
-    one = {a: [symplectic((a,), (b,)) % d for b in pairs] for a in pairs}
+        for t, (m, n) in enumerate(row):
+            holds[t][m % d, n % d] |= 1 << i
+    one = {a: [symplectic((a,), (b,)) % d for b in residue_pairs]
+           for a in residue_pairs}
     forms = []
     for held in holds:
         table = {}
-        for a in pairs:
+        for a in residue_pairs:
             table[a] = by_value = [0] * d
-            for v, b in zip(one[a], pairs):
+            for v, b in zip(one[a], residue_pairs):
                 by_value[v] |= held[b]
         forms.append(table)
     class_comm: dict = {}
@@ -340,9 +345,9 @@ def search(params: LatticeParams, n_parties: int, n_operators: int,
     for row in rows:
         residues = tuple((m % d, n % d) for m, n in row)
         if residues not in class_comm:
-            partial = forms[0][row[0]]
+            partial = forms[0][residues[0]]
             for t in range(1, n_parties):
-                by_value = forms[t][row[t]]
+                by_value = forms[t][residues[t]]
                 # the sets for distinct v are disjoint, so + is |
                 partial = [sum(partial[(s - v) % d] & by_value[v]
                                for v in range(d))

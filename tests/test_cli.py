@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import cvghz
-from cvghz import cli, paradox, states
+from cvghz import cli, oracle, paradox, states
 from cvghz.paradox import builtin
 
 
@@ -222,6 +222,13 @@ class TestOracle:
         assert (code, out) == (3, "")
         assert err == "refused: dense dimension 8192 exceeds ceiling 4096\n"
 
+    def test_negative_seed_exit_two(self, capsys, monkeypatch):
+        forbid(monkeypatch, oracle, "check_set")
+        code, out, err = run(capsys, "oracle", "--set", "v4", "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: ") and err.count("\n") == 1
+        assert "seed" in err
+
     def test_non_finite_tol_exit_two(self, capsys):
         for tol in ("nan", "inf", "-inf"):
             code, out, err = run(capsys, "oracle", "--set", "v4",
@@ -280,6 +287,15 @@ class TestSimulate:
                      ["--delta", "0.1", "--envelope", "inf"]):
             code, out, err = run(capsys, "simulate", *argv)
             assert (code, out) == (2, ""), argv
+            assert "finite" in err
+
+    def test_non_finite_max_dev_exit_two(self, capsys, monkeypatch):
+        forbid(monkeypatch, states, "convergence_study")
+        for dev in ("nan", "inf", "-inf"):
+            code, out, err = run(capsys, "simulate", "--delta", "0.2,0.1",
+                                 f"--max-dev={dev}")
+            assert (code, out) == (2, ""), dev
+            assert err.startswith("input error: ") and err.count("\n") == 1
             assert "finite" in err
 
     def test_out_in_missing_dir_rejected_before_study(
@@ -378,7 +394,7 @@ def numpy_loaded(code: str) -> bool:
 
 
 class TestStartup:
-    """`verify` and `search` never touch numpy, so they do not load it."""
+    """Only `simulate` needs numpy, so nothing else loads it."""
 
     @pytest.mark.parametrize("code", [
         "import cvghz",
@@ -386,13 +402,16 @@ class TestStartup:
         "from cvghz import cli; cli.main(['verify', '--set', 'v4'])",
         "from cvghz import cli; cli.main(['search', '--parties', '1', "
         "'--dim', '2', '--operators', '2', '--max-exp', '1'])",
+        "from cvghz import cli; cli.main(['oracle', '--set', 'v4'])",
+        "from cvghz import cli; "
+        "cli.main(['oracle', '--set', 'w6', '--max-dim', '512'])",
     ])
     def test_numpy_not_loaded(self, code):
         assert not numpy_loaded(code)
 
     def test_probe_sees_numpy(self):
         assert numpy_loaded("from cvghz import cli; "
-                            "cli.main(['oracle', '--set', 'v4'])")
+                            "cli.main(['simulate', '--delta', '0.2'])")
 
 
 def test_bad_flags_exit_two(capsys):

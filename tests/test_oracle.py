@@ -31,6 +31,15 @@ def reference_represent(word):
     return mat
 
 
+def dense(mon):
+    """A monomial's D x D matrix, built entry by entry."""
+    dim = len(mon.image)
+    mat = np.zeros((dim, dim), dtype=complex)
+    for k, (j, c) in enumerate(zip(mon.image, mon.coeff)):
+        mat[j, k] = c
+    return mat
+
+
 def random_word(rng, params, n_parties, max_exp=4):
     exps = tuple((int(rng.integers(-max_exp, max_exp + 1)),
                   int(rng.integers(-max_exp, max_exp + 1)))
@@ -92,11 +101,12 @@ class TestMonomial:
         dense_a, dense_b = reference_represent(a), reference_represent(b)
         assert np.linalg.norm(represent(a) - dense_a) < 1e-12
         ma, mb = monomial(a), monomial(b)
-        eye = np.eye(len(ma.image))
-        assert np.linalg.norm((ma @ mb).apply(eye) - dense_a @ dense_b) < 1e-12
-        assert np.linalg.norm(
-            ma.dagger().apply(eye) - dense_a.conj().T) < 1e-12
+        assert np.linalg.norm(dense(ma @ mb) - dense_a @ dense_b) < 1e-12
+        assert np.linalg.norm(dense(ma.dagger()) - dense_a.conj().T) < 1e-12
         assert abs(ma.distance(mb) - np.linalg.norm(dense_a - dense_b)) < 1e-12
+        vec = list(np.exp(1j * np.arange(len(ma.image))))  # unit entries
+        assert np.linalg.norm(np.asarray(ma.apply(vec))
+                              - dense_a @ np.asarray(vec)) < 1e-12
 
 
 class TestRepresent:
@@ -205,6 +215,7 @@ class TestJointEigenvector:
     def test_residual_is_small(self):
         s = builtin("v4")
         v, vals = joint_eigenvector(s, seed=2)
+        v = np.asarray(v)
         for w, lam in zip(s.operators, vals):
             m = represent(w)
             assert np.linalg.norm(m @ v - lam * v) < 1e-8
@@ -214,11 +225,17 @@ class TestJointEigenvector:
         with pytest.raises(ValueError):
             joint_eigenvector(s)
 
+    def test_negative_seed_rejected(self):
+        # random.Random(-1) would silently run as seed 1
+        with pytest.raises(ValueError, match="seed"):
+            joint_eigenvector(builtin("v4"), seed=-1)
+
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("name", ["v4", "w6"])
     def test_builtin_over_seeds(self, name, seed):
         s = builtin(name)
         v, vals = joint_eigenvector(s, seed=seed)
+        v = np.asarray(v)
         assert abs(np.linalg.norm(v) - 1) < 1e-12
         for w, lam in zip(s.operators, vals):
             assert abs(abs(lam) - 1) < 1e-8
@@ -229,7 +246,8 @@ class TestJointEigenvector:
     def test_same_seed_same_vector(self):
         a, vals_a = joint_eigenvector(builtin("w6"), seed=7)
         b, vals_b = joint_eigenvector(builtin("w6"), seed=7)
-        assert np.array_equal(a, b) and vals_a == vals_b
+        assert np.array_equal(np.asarray(a), np.asarray(b))
+        assert vals_a == vals_b
 
 
 def test_padded_v4_at_dimension_2_pow_16():

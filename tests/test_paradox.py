@@ -382,6 +382,14 @@ class TestSearch:
         assert time.perf_counter() - start < 1.0
         assert exc.value.estimate == 15624 ** 2
 
+    def test_one_party_tables_are_keyed_by_residue(self):
+        # 61^2 - 1 rows: one-party tables keyed by pair rather than by
+        # pair mod d make this take about 10 s on a 2-core x86 VM
+        start = time.perf_counter()
+        results = search(LatticeParams(2), 1, 2, 30)
+        assert time.perf_counter() - start < 2.0
+        assert len(results) == 450
+
     def test_nan_ceiling_rejected(self):
         with pytest.raises(ValueError, match="NaN") as exc:
             search(LatticeParams(2), 1, 2, 1, space_ceiling=float("nan"))
