@@ -292,7 +292,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from . import states  # loads numpy
+    from . import states  # only simulate needs the comb states
 
     if not math.isfinite(args.max_dev):
         raise InputError(f"--max-dev must be finite, got {args.max_dev}")

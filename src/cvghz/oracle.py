@@ -8,7 +8,8 @@ diag(1, w, w^2, ...) with w = exp(2*pi*i/d) and Y to the cyclic shift
 matrix, so every check below costs O(D) in the dimension D = d^n.
 
 The checks use only the standard library, so `cvghz oracle` starts without
-numpy; only the dense helpers `represent` and `clock_shift` import it.
+numpy; only the dense helpers `represent` and `clock_shift` need it, and
+`represent` imports it.
 """
 
 import cmath
@@ -37,7 +38,10 @@ class DimensionCeilingError(ValueError):
 
 
 def clock_shift(d: int):
-    """The d x d clock X = diag(w^j) and shift Y: |j> -> |j+1 mod d>."""
+    """The d x d clock X = diag(w^j) and shift Y: |j> -> |j+1 mod d>.
+
+    Dense numpy matrices, built by `represent`; needs numpy.
+    """
     params = LatticeParams(d)
     return (represent(WeylWord(params, ((1, 0),))),
             represent(WeylWord(params, ((0, 1),))))
@@ -115,7 +119,10 @@ def monomial(word: WeylWord,
 
 
 def represent(word: WeylWord, dim_ceiling: int = DEFAULT_DIM_CEILING):
-    """The word's image as a dense D x D numpy matrix (tests and small D)."""
+    """The word's image as a dense D x D numpy matrix (tests and small D).
+
+    Needs numpy, which it imports; nothing in the CLI calls it.
+    """
     import numpy as np
 
     mon = monomial(word, dim_ceiling)

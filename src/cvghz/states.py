@@ -15,16 +15,27 @@ independent grid-integration oracle for the same quantities.
 
 from __future__ import annotations
 
+import cmath
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import oracle
 from .paradox import builtin
 from .weyl import LatticeParams, WeylWord, identity_word
 
 OVERLAP_CUTOFF = 1e-16  # peak pairs below this Gaussian factor are dropped
+
+
+def _check_width(name: str, width: float, factor: float) -> None:
+    """Reject a width w unless w > 0 and factor * w * w is positive and finite.
+
+    The closed forms divide by factor * w * w, so a width whose square
+    underflows to 0 or overflows to inf is as unusable as a NaN.
+    """
+    if not (width > 0 and 0 < factor * width * width < math.inf):
+        raise ValueError(f"{name} must be positive and finite, and so must "
+                         f"{factor:g}*{name}^2; got {width!r}")
 
 
 @dataclass(frozen=True)
@@ -45,8 +56,7 @@ class GaussianComb:
             raise ValueError("comb needs at least one peak")
         if len(self.centers) != len(self.weights):
             raise ValueError("centers and weights must have equal length")
-        if self.delta <= 0:
-            raise ValueError("peak width delta must be positive")
+        _check_width("delta", self.delta, 8.0)
 
 
 @dataclass(frozen=True)
@@ -85,32 +95,35 @@ def comb_matrix_element(bra: GaussianComb, ket: GaussianComb,
     pairs in the band |a - b + s| <= sqrt(8 delta^2 ln(1/OVERLAP_CUTOFF))
     (about 17 delta) can pass it, so the sum runs over that band alone:
     the shifted ket centers are sorted once and each bra peak finds its
-    band with `searchsorted`, costing O(P log P + pairs in the band)
-    instead of O(P^2) for P peaks.
+    band with `bisect`, costing O(P log P + pairs in the band) instead of
+    O(P^2) for P peaks.  The phase factors into e^{i*mu*a/2} per bra peak
+    and e^{i*mu*(b - s)/2} per ket peak.
     """
     if bra.delta != ket.delta:
         raise ValueError("matrix element requires equal peak widths")
     d2 = bra.delta * bra.delta
-    a = np.asarray(bra.centers)
-    b = np.asarray(ket.centers) - shift  # shifted ket peak centers
-    order = np.argsort(b, kind="stable")
-    b = b[order]
-    wb = np.asarray(ket.weights)[order]
-    reach = math.sqrt(8.0 * d2 * math.log(1.0 / OVERLAP_CUTOFF))
-    lo = np.searchsorted(b, a - reach, side="left")
-    counts = np.searchsorted(b, a + reach, side="right") - lo
-    # pair k is (bra i[k], ket j[k]); bra i pairs with kets
-    # lo[i], ..., lo[i] + counts[i] - 1
-    i = np.repeat(np.arange(len(a)), counts)
-    j = np.arange(len(i)) + np.repeat(lo - (np.cumsum(counts) - counts),
-                                      counts)
-    gap = a[i] - b[j]
-    gauss = np.exp(-gap * gap / (8.0 * d2))
-    gauss[gauss < OVERLAP_CUTOFF] = 0.0
-    phase = np.exp(0.5j * mu * (a[i] + b[j]))
-    damping = math.exp(-0.5 * mu * mu * d2)
-    wa = np.asarray(bra.weights).conj()
-    return complex(damping * (wa[i] * wb[j] * gauss * phase).sum())
+    scale = 8.0 * d2
+    reach = math.sqrt(scale * math.log(1.0 / OVERLAP_CUTOFF))
+    # shifted ket centers, sorted by center alone: weights never compare
+    order = sorted(range(len(ket.centers)), key=ket.centers.__getitem__)
+    b = [ket.centers[k] - shift for k in order]
+    fb = [ket.weights[k] for k in order]
+    fa = [w.conjugate() for w in bra.weights]
+    if mu:  # a pure translation has unit phases
+        half = 0.5j * mu
+        fb = [w * cmath.exp(half * c) for c, w in zip(b, fb)]
+        fa = [w * cmath.exp(half * a) for a, w in zip(bra.centers, fa)]
+    total = 0j
+    for a, f in zip(bra.centers, fa):
+        lo = bisect_left(b, a - reach)
+        band = 0j
+        for j in range(lo, bisect_right(b, a + reach, lo)):
+            gap = a - b[j]
+            gauss = math.exp(-gap * gap / scale)  # as the dense sum has it
+            if gauss >= OVERLAP_CUTOFF:
+                band += gauss * fb[j]
+        total += f * band
+    return math.exp(-0.5 * mu * mu * d2) * total
 
 
 def normalized_comb(comb: GaussianComb) -> GaussianComb:
@@ -130,8 +143,7 @@ def make_comb(kind: str, delta: float, n_peaks: int,
     """
     if kind not in ("up", "down"):
         raise ValueError(f"kind must be 'up' or 'down', got {kind!r}")
-    if not (0 < delta < math.inf and 0 < envelope_width < math.inf):
-        raise ValueError("delta and envelope_width must be finite and > 0")
+    _check_width("envelope_width", envelope_width, 2.0)  # delta: GaussianComb
     if n_peaks < 0:
         raise ValueError("n_peaks must be >= 0")
     odd_weight = 1j if kind == "up" else -1j
@@ -140,8 +152,8 @@ def make_comb(kind: str, delta: float, n_peaks: int,
     for k in range(-n_peaks, n_peaks + 1):
         base = 1.0 if k % 2 == 0 else odd_weight
         centers.append(float(k))
-        weights.append(base * math.exp(-k * k /
-                                       (2.0 * envelope_width ** 2)))
+        weights.append(base * math.exp(-k * k / (2.0 * envelope_width
+                                                 * envelope_width)))
     return normalized_comb(GaussianComb(tuple(centers), tuple(weights),
                                         delta))
 
@@ -179,22 +191,44 @@ def _word_action(word: WeylWord) -> list[tuple[float, float]]:
     return [(m * math.pi * base, n * base) for m, n in word.exponents]
 
 
+def _expectations(state: ProductStateSum,
+                  words: list[WeylWord]) -> list[complex]:
+    """<state| word |state> for each word, by closed-form Gaussian integrals.
+
+    Each distinct one-party matrix element <bra| e^{i*mu*x} T_shift |ket>
+    is computed once and shared by every term pair and word that needs it.
+    """
+    memo: dict[tuple[int, int, float, float], complex] = {}
+    out = []
+    for word in words:
+        if word.n_parties != state.n_parties:
+            raise ValueError("word and state party counts differ")
+        action = _word_action(word)
+        total = 0.0 + 0.0j
+        for ct, ft in state.terms:
+            for cu, fu in state.terms:
+                val = ct.conjugate() * cu
+                for bra, ket, (mu, shift) in zip(ft, fu, action):
+                    # `state` holds every comb until we return, so ids
+                    # are not reused
+                    key = (id(bra), id(ket), mu, shift)
+                    if key not in memo:
+                        memo[key] = comb_matrix_element(bra, ket, mu, shift)
+                    val *= memo[key]
+                total += val
+        out.append(word.phase.to_complex() * total)
+    return out
+
+
 def weyl_expectation(state: ProductStateSum, word: WeylWord) -> complex:
     """<state| word |state> by closed-form Gaussian integrals (no quadrature)."""
-    if word.n_parties != state.n_parties:
-        raise ValueError("word and state party counts differ")
-    action = _word_action(word)
-    total = 0.0 + 0.0j
-    for ct, ft in state.terms:
-        for cu, fu in state.terms:
-            val = ct.conjugate() * cu
-            for bra, ket, (mu, shift) in zip(ft, fu, action):
-                val *= comb_matrix_element(bra, ket, mu, shift)
-            total += val
-    return word.phase.to_complex() * total
+    return _expectations(state, [word])[0]
 
 
-def _comb_wavefunction(comb: GaussianComb, x: np.ndarray) -> np.ndarray:
+def _comb_wavefunction(comb: GaussianComb, x):
+    """The comb's wavefunction on the numpy array of points x."""
+    import numpy as np
+
     norm = (2.0 * math.pi * comb.delta ** 2) ** -0.25
     psi = np.zeros_like(x, dtype=complex)
     for c, w in zip(comb.centers, comb.weights):
@@ -208,8 +242,10 @@ def quadrature_check(state: ProductStateSum, word: WeylWord,
 
     Independent oracle: evaluates the comb wavefunctions pointwise and
     integrates per party with the trapezoid rule. Raises if the grid is too
-    coarse to resolve the peak width.
+    coarse to resolve the peak width. Needs numpy, which it imports.
     """
+    import numpy as np
+
     if word.n_parties != state.n_parties:
         raise ValueError("word and state party counts differ")
     action = _word_action(word)
@@ -253,8 +289,9 @@ def convergence_study(deltas: list[float], n_peaks: int = 20,
     four operator expectations and the worst-case deviation from the exact
     eigenvalues of the corresponding qubit GHZ state.
     """
-    if not all(0 < d < math.inf for d in deltas):
-        raise ValueError("all delta values must be positive and finite")
+    for delta in deltas:  # all inputs checked before any work
+        _check_width("delta", delta, 8.0)
+    _check_width("envelope_width", envelope_width, 2.0)
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("delta values must be strictly descending")
     if not deltas:
@@ -264,7 +301,7 @@ def convergence_study(deltas: list[float], n_peaks: int = 20,
     rows = []
     for delta in deltas:
         state = ghz_state(delta, n_peaks, envelope_width)
-        exps = tuple(weyl_expectation(state, w) for w in op_set.operators)
+        exps = tuple(_expectations(state, op_set.operators))
         deviation = max(abs(e - l) for e, l in zip(exps, lam))
         rows.append(ConvergenceRow(delta, exps, float(deviation)))
     return rows

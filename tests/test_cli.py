@@ -282,11 +282,17 @@ class TestSimulate:
         code, _, _ = run(capsys, "simulate", "--delta", "0.05,0.1")
         assert code == 2
 
-    def test_non_finite_exit_two(self, capsys):
+    def test_non_finite_exit_two(self, capsys, monkeypatch):
+        forbid(monkeypatch, states, "ghz_state")
+        # and widths whose squares underflow to 0 or overflow
         for argv in (["--delta", "nan"], ["--delta", "0.1,inf"],
-                     ["--delta", "0.1", "--envelope", "inf"]):
+                     ["--delta", "0.1", "--envelope", "inf"],
+                     ["--delta", "1e-300"], ["--delta", "0.2,1e200"],
+                     ["--delta", "0.2", "--envelope", "1e-300"],
+                     ["--delta", "0.2", "--envelope", "1e300"]):
             code, out, err = run(capsys, "simulate", *argv)
             assert (code, out) == (2, ""), argv
+            assert err.startswith("input error: ") and err.count("\n") == 1
             assert "finite" in err
 
     def test_non_finite_max_dev_exit_two(self, capsys, monkeypatch):
@@ -394,7 +400,7 @@ def numpy_loaded(code: str) -> bool:
 
 
 class TestStartup:
-    """Only `simulate` needs numpy, so nothing else loads it."""
+    """No subcommand needs numpy, so none loads it."""
 
     @pytest.mark.parametrize("code", [
         "import cvghz",
@@ -405,13 +411,40 @@ class TestStartup:
         "from cvghz import cli; cli.main(['oracle', '--set', 'v4'])",
         "from cvghz import cli; "
         "cli.main(['oracle', '--set', 'w6', '--max-dim', '512'])",
+        "from cvghz import cli; cli.main(['simulate', '--delta', '0.2'])",
     ])
     def test_numpy_not_loaded(self, code):
         assert not numpy_loaded(code)
 
     def test_probe_sees_numpy(self):
-        assert numpy_loaded("from cvghz import cli; "
-                            "cli.main(['simulate', '--delta', '0.2'])")
+        assert numpy_loaded("from cvghz import oracle, paradox; "
+                            "oracle.represent(paradox.builtin('v4')"
+                            ".operators[0])")
+
+
+class TestStandardLibraryOnly:
+    """`python -S` loads no site-packages, so no numpy: same results."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--set", "v4"],
+        ["search", "--parties", "3", "--dim", "2", "--operators", "3",
+         "--max-exp", "1"],
+        ["oracle", "--set", "w6"],
+        ["simulate", "--delta", "0.2,0.1,0.05"],
+        ["simulate", "--delta", "0.2,0.1,0.05,0.02,0.01,0.005",
+         "--peaks", "120", "--envelope", "40"],
+    ])
+    def test_same_output_without_site_packages(self, argv):
+        bare = [sys.executable, "-S"]
+        if subprocess.run(bare + ["-c", "import numpy"], env=cvghz_env(),
+                          capture_output=True).returncode == 0:
+            pytest.skip("numpy is importable without site-packages")
+        runs = [subprocess.run(python + ["-m", "cvghz.cli"] + argv,
+                               capture_output=True, env=cvghz_env())
+                for python in (bare, [sys.executable])]
+        assert runs[0].stderr == b""
+        assert runs[0].returncode == runs[1].returncode == 0
+        assert runs[0].stdout == runs[1].stdout
 
 
 def test_bad_flags_exit_two(capsys):

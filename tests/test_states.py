@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvghz import oracle
+from cvghz import oracle, states
 from cvghz.paradox import builtin
 from cvghz.states import (OVERLAP_CUTOFF, GaussianComb, ProductStateSum,
                           comb_matrix_element, comb_overlap,
@@ -38,6 +38,20 @@ def reference_comb_matrix_element(bra, ket, mu, shift):
     damping = math.exp(-0.5 * mu * mu * d2)
     return complex(damping * (wa[:, None] * wb[None, :]
                               * gauss * phase).sum())
+
+
+def unshared_expectation(state, word):
+    """`weyl_expectation` with every matrix element evaluated afresh."""
+    base = math.sqrt(2.0 / word.params.d)
+    total = 0j
+    for ct, ft in state.terms:
+        for cu, fu in state.terms:
+            val = ct.conjugate() * cu
+            for bra, ket, (m, n) in zip(ft, fu, word.exponents):
+                val *= reference_comb_matrix_element(
+                    bra, ket, m * math.pi * base, n * base)
+            total += val
+    return word.phase.to_complex() * total
 
 
 def single_party_state(comb):
@@ -90,6 +104,10 @@ class TestMakeComb:
         dict(delta=math.nan, n_peaks=3, envelope_width=5.0),
         dict(delta=math.inf, n_peaks=3, envelope_width=5.0),
         dict(delta=0.1, n_peaks=3, envelope_width=math.inf),
+        dict(delta=1e-300, n_peaks=3, envelope_width=5.0),  # 8*delta^2 = 0
+        dict(delta=1e200, n_peaks=3, envelope_width=5.0),  # 8*delta^2 = inf
+        dict(delta=0.1, n_peaks=3, envelope_width=1e-300),
+        dict(delta=0.1, n_peaks=3, envelope_width=1e300),
     ])
     def test_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):
@@ -205,6 +223,18 @@ class TestWeylExpectation:
         w = word1(0, 0, RationalPhase(1, 2))
         assert abs(weyl_expectation(state, w) + 1) < 1e-12
 
+    def test_shared_elements_match_unshared(self):
+        # an asymmetric comb, so that <c|T_s|c> and <c|T_-s|c> differ,
+        # repeated over parties that the words shift both ways
+        c = GaussianComb((0.0, 1.0, 2.5), (1.0, 1j, 0.5 - 0.5j), 0.4)
+        d = GaussianComb((-1.0, 0.5), (2.0, -1j), 0.4)
+        state = ProductStateSum(((1.0, (c, c, d)), (0.5j, (d, c, c))))
+        for exps in ([(0, 1), (0, -1), (0, 1)], [(1, 0), (-1, 0), (0, 0)],
+                     [(1, 1), (1, -1), (-1, 1)]):
+            w = WeylWord(D2, tuple(exps), RationalPhase(1, 4))
+            got = weyl_expectation(state, w)
+            assert abs(got - unshared_expectation(state, w)) < 1e-12
+
     def test_party_mismatch_rejected(self):
         state = single_party_state(make_comb("up", 0.05, 6, 5.0))
         with pytest.raises(ValueError):
@@ -270,6 +300,35 @@ class TestConvergence:
         rows = convergence_study([0.05], n_peaks=1, envelope_width=10.0)
         assert rows[0].deviation > 0.5
 
+    def test_each_matrix_element_once_per_delta(self, monkeypatch):
+        seen = []
+        element = states.comb_matrix_element
+
+        def record(bra, ket, mu, shift):
+            seen.append((bra, ket, mu, shift))
+            return element(bra, ket, mu, shift)
+
+        monkeypatch.setattr(states, "comb_matrix_element", record)
+        convergence_study([0.2, 0.1], n_peaks=20, envelope_width=10.0)
+        # per delta: the two comb normalizations, then the 4 (bra, ket)
+        # comb pairs under the 5 distinct (mu, shift) of I and the v4 words
+        assert len(seen) == len(set(seen)) == 2 * (2 + 4 * 5)
+
+    def test_equals_unshared_reference_sum(self, monkeypatch):
+        deltas = [0.2, 0.1, 0.05]
+        rows = convergence_study(deltas, n_peaks=20, envelope_width=10.0)
+        monkeypatch.setattr(states, "comb_matrix_element",
+                            reference_comb_matrix_element)
+        op_set = builtin("v4")
+        lam = oracle.ghz_comb_eigenvalues(op_set)
+        for delta, row in zip(deltas, rows):
+            state = ghz_state(delta, 20, 10.0)
+            want = [unshared_expectation(state, w) for w in op_set.operators]
+            for got, ref in zip(row.expectations, want):
+                assert abs(got - ref) < 1e-12
+            deviation = max(abs(e - l) for e, l in zip(want, lam))
+            assert abs(row.deviation - deviation) < 1e-12
+
     def test_bad_deltas(self):
         with pytest.raises(ValueError):
             convergence_study([0.05, 0.1])
@@ -290,6 +349,9 @@ class TestValidation:
             GaussianComb((0.0,), (1.0,), -0.1)
         with pytest.raises(ValueError):
             GaussianComb((0.0, 1.0), (1.0,), 0.1)
+        for delta in (1e-300, 1e200, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                GaussianComb((0.0,), (1.0,), delta)
 
     def test_overlap_requires_equal_width(self):
         a = make_comb("up", 0.05, 2, 5.0)
