@@ -19,12 +19,10 @@ storing lattice exponents only; every operator row has exactly `parties`
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import os
 import sys
-from typing import Optional
 
 from . import paradox
 from .paradox import OperatorSet, SearchSpaceError
@@ -99,7 +97,7 @@ def set_from_dict(data: dict) -> OperatorSet:
     return paradox.set_from_rows(d, ops, name=name)
 
 
-def load_set(spec: Optional[str], path: Optional[str]) -> OperatorSet:
+def load_set(spec: str | None, path: str | None) -> OperatorSet:
     if (spec is None) == (path is None):
         raise InputError("give exactly one of --set or --file")
     if spec is not None:
@@ -203,11 +201,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
-    if args.emit:
-        try:
-            os.makedirs(args.emit, exist_ok=True)
-        except OSError as exc:
-            raise InputError(f"cannot create {args.emit}: {exc}") from None
+    # the search checks its arguments and may refuse, so --emit is made only
+    # after it; a target that cannot be a directory costs no search
+    if args.emit and os.path.exists(args.emit) \
+            and not os.path.isdir(args.emit):
+        raise InputError(f"cannot create {args.emit}: not a directory")
     try:
         results = paradox.search(LatticeParams(args.dim), args.parties,
                                  args.operators, args.max_exp,
@@ -218,6 +216,10 @@ def cmd_search(args) -> int:
     except ValueError as exc:
         raise InputError(str(exc)) from None
     if args.emit:  # files first, so that a failed write leaves stdout empty
+        try:
+            os.makedirs(args.emit, exist_ok=True)
+        except OSError as exc:
+            raise InputError(f"cannot create {args.emit}: {exc}") from None
         for i, op_set in enumerate(results):
             path = os.path.join(args.emit, f"paradox_{i:04d}.json")
             try:
@@ -302,33 +304,42 @@ def cmd_simulate(args) -> int:
         raise InputError(f"bad --delta list: {exc}") from None
     if not deltas:
         raise InputError("--delta list is empty")
-    try:  # open the target first, so that a bad path costs no work
-        fh = open(args.out, "w", encoding="utf-8") if args.out else None
-    except OSError as exc:
-        raise InputError(f"cannot write {args.out}: {exc}") from None
+    try:  # the study checks these too, but names its own parameters
+        for delta in deltas:
+            states._check_width("--delta", delta, 8.0)
+        states._check_width("--envelope", args.envelope, 2.0)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
+    # --out is opened only after the study has accepted every argument, so
+    # that a rejected run leaves the file as it was; a missing directory
+    # costs no study
+    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise InputError(f"cannot write {args.out}: no such directory")
     try:
-        with fh or contextlib.nullcontext(sys.stdout) as out:
-            try:
-                rows = states.convergence_study(deltas, n_peaks=args.peaks,
-                                                envelope_width=args.envelope)
-            except ValueError as exc:
-                raise InputError(str(exc)) from None
-            header = ["delta"]
-            for k in range(1, 5):
-                header += [f"re_V{k}", f"im_V{k}"]
-            header.append("deviation")
-            lines = [",".join(header)]
-            for row in rows:
-                cells = [_fmt(row.delta)]
-                for z in row.expectations:
-                    cells += [_fmt(z.real), _fmt(z.imag)]
-                cells.append(_fmt(row.deviation))
-                lines.append(",".join(cells))
-            out.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        if fh is None:
-            raise  # stdout: `main` reports it
-        raise InputError(f"cannot write {args.out}: {exc}") from None
+        rows = states.convergence_study(deltas, n_peaks=args.peaks,
+                                        envelope_width=args.envelope)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
+    header = ["delta"]
+    for k in range(1, 5):
+        header += [f"re_V{k}", f"im_V{k}"]
+    header.append("deviation")
+    lines = [",".join(header)]
+    for row in rows:
+        cells = [_fmt(row.delta)]
+        for z in row.expectations:
+            cells += [_fmt(z.real), _fmt(z.imag)]
+        cells.append(_fmt(row.deviation))
+        lines.append(",".join(cells))
+    text = "\n".join(lines) + "\n"
+    if args.out:
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out}: {exc}") from None
+    else:
+        sys.stdout.write(text)  # a failure here is reported by `main`
     monotone = all(a.deviation >= b.deviation - 1e-12
                    for a, b in zip(rows, rows[1:]))
     final_ok = rows[-1].deviation < args.max_dev
@@ -392,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

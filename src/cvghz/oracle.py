@@ -15,13 +15,12 @@ numpy; only the dense helpers `represent` and `clock_shift` need it, and
 import cmath
 import math
 import random
-from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, combinations
 
 # perfbench/spans.py patches `cvghz.oracle.verify`; nothing here calls it.
 from .paradox import OperatorSet, verify  # noqa: F401
-from .weyl import LatticeParams, WeylWord, product
+from .weyl import LatticeParams, WeylWord, _Frozen, product
 
 DEFAULT_DIM_CEILING = 4096
 EIGEN_TOL = 1e-8  # tolerance of the eigenvector checks and of |lambda| = 1
@@ -56,12 +55,19 @@ def _norm(vec: list[complex]) -> float:
                                 for z in vec]))
 
 
-@dataclass(frozen=True, eq=False)
-class Monomial:
-    """D x D matrix whose column k holds coeff[k] at row image[k] only."""
+class Monomial(_Frozen):
+    """D x D matrix whose column k holds coeff[k] at row image[k] only.
 
-    image: list[int]  # a permutation of range(D)
-    coeff: list[complex]
+    Equal only to itself, as the lists it holds are not hashable.
+    """
+
+    __slots__ = ("image", "coeff")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, image: list[int], coeff: list[complex]):
+        object.__setattr__(self, "image", image)  # a permutation of range(D)
+        object.__setattr__(self, "coeff", coeff)
 
     @classmethod
     def scalar(cls, dim: int, value: complex) -> "Monomial":
@@ -132,28 +138,51 @@ def represent(word: WeylWord, dim_ceiling: int = DEFAULT_DIM_CEILING):
     return mat
 
 
-def _max_commutator_norm(mons: list[Monomial]) -> float:
-    return max(((a @ b).distance(b @ a) for a, b in combinations(mons, 2)),
-               default=0.0)
+# (op_set, dim_ceiling, monomials, commutator norm) of the last build
+_last_images: tuple = (None, None, (), 0.0)
 
 
-@dataclass(frozen=True)
-class OracleReport:
-    dimension: int
-    max_commutator_norm: float
-    product_deviation: float
-    max_unitarity_defect: float
+def _images(op_set: OperatorSet,
+            dim_ceiling: int) -> tuple[tuple[Monomial, ...], float]:
+    """The operators' monomials and their largest pairwise commutator norm.
+
+    `cvghz oracle` passes one set object to `check_set` and then to
+    `joint_eigenvector`, so the last build is kept for that object and both
+    share it. It is keyed by identity: any other set, even an equal one, is
+    built afresh. Callers must not change the monomials' lists.
+    """
+    global _last_images
+    last_set, last_ceiling, mons, norm = _last_images
+    if op_set is not last_set or dim_ceiling != last_ceiling:
+        mons = tuple(monomial(w, dim_ceiling) for w in op_set.operators)
+        norm = max(((a @ b).distance(b @ a)
+                    for a, b in combinations(mons, 2)), default=0.0)
+        _last_images = (op_set, dim_ceiling, mons, norm)
+    return mons, norm
+
+
+class OracleReport(_Frozen):
+    __slots__ = ("dimension", "max_commutator_norm", "product_deviation",
+                 "max_unitarity_defect")
+
+    def __init__(self, dimension: int, max_commutator_norm: float,
+                 product_deviation: float, max_unitarity_defect: float):
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "max_commutator_norm", max_commutator_norm)
+        object.__setattr__(self, "product_deviation", product_deviation)
+        object.__setattr__(self, "max_unitarity_defect",
+                           max_unitarity_defect)
 
 
 def check_set(op_set: OperatorSet,
               dim_ceiling: int = DEFAULT_DIM_CEILING) -> OracleReport:
     """Numerically confirm commutation, unitarity and the symbolic product."""
-    mons = [monomial(w, dim_ceiling) for w in op_set.operators]
+    mons, commutator_norm = _images(op_set, dim_ceiling)
     eye = Monomial.scalar(len(mons[0].image), 1.0)
     prod_word = product(op_set.operators)
     return OracleReport(
         dimension=len(eye.image),
-        max_commutator_norm=_max_commutator_norm(mons),
+        max_commutator_norm=commutator_norm,
         product_deviation=reduce(Monomial.__matmul__, mons).distance(
             monomial(prod_word, dim_ceiling)),
         max_unitarity_defect=max((m @ m.dagger()).distance(eye)
@@ -172,8 +201,8 @@ def joint_eigenvector(op_set: OperatorSet, seed: int = 0,
     """
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    mons = [monomial(w, dim_ceiling) for w in op_set.operators]
-    if _max_commutator_norm(mons) >= EIGEN_TOL:
+    mons, commutator_norm = _images(op_set, dim_ceiling)
+    if commutator_norm >= EIGEN_TOL:
         raise ValueError("operator set is not commuting")
     d, dim = op_set.params.d, len(mons[0].image)
     rng = random.Random(seed)

@@ -17,12 +17,12 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from math import comb as binomial
-from typing import Iterable, Optional, Sequence
 
-from .weyl import (LatticeParams, RationalPhase, WeylWord, commutation_phase,
-                   crossing, is_scalar, product, symplectic)
+from .weyl import (LatticeParams, RationalPhase, WeylWord, _Frozen,
+                   commutation_phase, crossing, is_scalar, product,
+                   symplectic)
 
 DEFAULT_SPACE_CEILING = 2e13
 
@@ -40,22 +40,23 @@ class SearchSpaceError(ValueError):
             f"{ceiling:.3g}; tighten the bounds")
 
 
-@dataclass(frozen=True)
-class OperatorSet:
+class OperatorSet(_Frozen):
     """An ordered list of lattice Weyl words, held as its exponent matrix.
 
     `rows[i][j] = (m, n)` puts X_j^{m*a0} Y_j^{n*b0} on party j of word i.
     """
 
-    params: LatticeParams
-    rows: Rows
-    name: Optional[str] = None
+    __slots__ = ("params", "rows", "name")
 
-    def __post_init__(self):
-        if not self.rows:
+    def __init__(self, params: LatticeParams, rows: Rows,
+                 name: str | None = None):
+        if not rows:
             raise ValueError("operator set must be non-empty")
-        if any(len(row) != len(self.rows[0]) for row in self.rows):
+        if any(len(row) != len(rows[0]) for row in rows):
             raise ValueError("all operators must have the same party count")
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "name", name)
 
     @property
     def n_parties(self) -> int:
@@ -67,30 +68,36 @@ class OperatorSet:
         return tuple(WeylWord(self.params, row) for row in self.rows)
 
 
-@dataclass(frozen=True)
-class ParadoxReport:
-    pairwise_phases: tuple[tuple[RationalPhase, ...], ...]
-    column_sums: tuple[tuple[int, int], ...]
-    product: WeylWord
-    is_commuting: bool
-    is_lhv_trivial: bool
-    product_phase: Optional[RationalPhase]
-    is_paradox: bool
+class ParadoxReport(_Frozen):
+    __slots__ = ("pairwise_phases", "column_sums", "product", "is_commuting",
+                 "is_lhv_trivial", "product_phase", "is_paradox")
+
+    def __init__(self,
+                 pairwise_phases: tuple[tuple[RationalPhase, ...], ...],
+                 column_sums: tuple[tuple[int, int], ...],
+                 product: WeylWord, is_commuting: bool,
+                 is_lhv_trivial: bool, product_phase: RationalPhase | None,
+                 is_paradox: bool):
+        for name, value in zip(self.__slots__, (
+                pairwise_phases, column_sums, product, is_commuting,
+                is_lhv_trivial, product_phase, is_paradox)):
+            object.__setattr__(self, name, value)
 
 
-@dataclass(frozen=True)
-class LhvAssignment:
+class LhvAssignment(_Frozen):
     """Hidden outcome values (x_j, p_j) per party, in dimensionless units."""
 
-    positions: tuple[float, ...]
-    momenta: tuple[float, ...]
+    __slots__ = ("positions", "momenta")
 
-    def __post_init__(self):
-        if len(self.positions) != len(self.momenta):
+    def __init__(self, positions: tuple[float, ...],
+                 momenta: tuple[float, ...]):
+        if len(positions) != len(momenta):
             raise ValueError("positions and momenta must have equal length")
-        for v in (*self.positions, *self.momenta):
+        for v in (*positions, *momenta):
             if not math.isfinite(v):
                 raise ValueError("hidden values must be finite")
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "momenta", momenta)
 
 
 def column_sums(op_set: OperatorSet) -> tuple[tuple[int, int], ...]:
@@ -171,7 +178,7 @@ _BUILTINS = {
 
 
 def set_from_rows(d: int, rows: Sequence[Sequence[tuple[int, int]]],
-                  name: Optional[str] = None) -> OperatorSet:
+                  name: str | None = None) -> OperatorSet:
     """An OperatorSet on lattice d from rows given as nested sequences."""
     return OperatorSet(LatticeParams(d),
                        tuple(tuple(map(tuple, row)) for row in rows), name)
@@ -243,7 +250,7 @@ def _default_pairs(max_exponent: int) -> list[tuple[int, int]]:
 
 def search(params: LatticeParams, n_parties: int, n_operators: int,
            max_exponent: int,
-           allowed_pairs: Optional[Sequence[tuple[int, int]]] = None,
+           allowed_pairs: Sequence[tuple[int, int]] | None = None,
            space_ceiling: float = DEFAULT_SPACE_CEILING) -> list[OperatorSet]:
     """Exhaustively enumerate paradox sets, canonicalized and de-duplicated.
 

@@ -18,11 +18,10 @@ from __future__ import annotations
 import cmath
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 
 from . import oracle
 from .paradox import builtin
-from .weyl import LatticeParams, WeylWord, identity_word
+from .weyl import LatticeParams, WeylWord, _Frozen, identity_word
 
 OVERLAP_CUTOFF = 1e-16  # peak pairs below this Gaussian factor are dropped
 
@@ -35,11 +34,10 @@ def _check_width(name: str, width: float, factor: float) -> None:
     """
     if not (width > 0 and 0 < factor * width * width < math.inf):
         raise ValueError(f"{name} must be positive and finite, and so must "
-                         f"{factor:g}*{name}^2; got {width!r}")
+                         f"{factor:g} times its square; got {width!r}")
 
 
-@dataclass(frozen=True)
-class GaussianComb:
+class GaussianComb(_Frozen):
     """One-party state: weighted sum of Gaussian peaks of common width delta.
 
     Each peak is the normalized wavefunction
@@ -47,30 +45,33 @@ class GaussianComb:
     the standard deviation of each peak's position distribution.
     """
 
-    centers: tuple[float, ...]
-    weights: tuple[complex, ...]
-    delta: float
+    __slots__ = ("centers", "weights", "delta")
 
-    def __post_init__(self):
-        if not self.centers:
+    def __init__(self, centers: tuple[float, ...],
+                 weights: tuple[complex, ...], delta: float):
+        if not centers:
             raise ValueError("comb needs at least one peak")
-        if len(self.centers) != len(self.weights):
+        if len(centers) != len(weights):
             raise ValueError("centers and weights must have equal length")
-        _check_width("delta", self.delta, 8.0)
+        _check_width("delta", delta, 8.0)
+        object.__setattr__(self, "centers", centers)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "delta", delta)
 
 
-@dataclass(frozen=True)
-class ProductStateSum:
+class ProductStateSum(_Frozen):
     """Multi-party state: sum of coefficient * (product of one comb per party)."""
 
-    terms: tuple[tuple[complex, tuple[GaussianComb, ...]], ...]
+    __slots__ = ("terms",)
 
-    def __post_init__(self):
-        if not self.terms:
+    def __init__(self,
+                 terms: tuple[tuple[complex, tuple[GaussianComb, ...]], ...]):
+        if not terms:
             raise ValueError("state needs at least one term")
-        n = len(self.terms[0][1])
-        if any(len(factors) != n for _, factors in self.terms):
+        n = len(terms[0][1])
+        if any(len(factors) != n for _, factors in terms):
             raise ValueError("all terms must have the same party count")
+        object.__setattr__(self, "terms", terms)
 
     @property
     def n_parties(self) -> int:
@@ -274,11 +275,14 @@ def quadrature_check(state: ProductStateSum, word: WeylWord,
     return word.phase.to_complex() * total
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
-    delta: float
-    expectations: tuple[complex, ...]
-    deviation: float
+class ConvergenceRow(_Frozen):
+    __slots__ = ("delta", "expectations", "deviation")
+
+    def __init__(self, delta: float, expectations: tuple[complex, ...],
+                 deviation: float):
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "expectations", expectations)
+        object.__setattr__(self, "deviation", deviation)
 
 
 def convergence_study(deltas: list[float], n_peaks: int = 20,

@@ -16,45 +16,86 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional
 
 
-@dataclass(frozen=True)
-class RationalPhase:
+class _Frozen:
+    """Immutable value: equality, hashing and repr over its __slots__.
+
+    The semantics of a frozen dataclass, without the cost of importing and
+    running `dataclasses` at start-up. A subclass lists its fields in
+    __slots__, in order, and sets them in __init__ with
+    object.__setattr__. Equal values have the same type.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}"
+                            for name in self.__slots__])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not through __setattr__
+        return type(self), self._fields()
+
+
+class RationalPhase(_Frozen):
     """A phase angle as an exact fraction of one full turn, reduced mod 1.
 
     The represented scalar is exp(2*pi*i * numerator/denominator).
     Always stored reduced with 0 <= numerator/denominator < 1.
     """
 
-    numerator: int
-    denominator: int = 1
+    __slots__ = ("numerator", "denominator")
 
-    def __post_init__(self):
-        if self.denominator == 0:
+    def __init__(self, numerator: int, denominator: int = 1):
+        if denominator == 0:
             raise ZeroDivisionError("phase denominator must be nonzero")
-        f = Fraction(self.numerator, self.denominator) % 1
-        object.__setattr__(self, "numerator", f.numerator)
-        object.__setattr__(self, "denominator", f.denominator)
+        if denominator < 0:
+            numerator, denominator = -numerator, -denominator
+        numerator %= denominator
+        g = math.gcd(numerator, denominator)
+        object.__setattr__(self, "numerator", numerator // g)
+        object.__setattr__(self, "denominator", denominator // g)
 
     @property
-    def turns(self) -> Fraction:
+    def turns(self):
+        """The phase as a `fractions.Fraction` of a turn."""
+        from fractions import Fraction  # pulls in decimal: not at start-up
+
         return Fraction(self.numerator, self.denominator)
 
     @property
     def is_zero(self) -> bool:
         return self.numerator == 0
 
-    def __add__(self, other: "RationalPhase") -> "RationalPhase":
-        f = self.turns + other.turns
-        return RationalPhase(f.numerator, f.denominator)
+    def __add__(self, other: RationalPhase) -> RationalPhase:
+        if not isinstance(other, RationalPhase):
+            return NotImplemented
+        a, b = self.denominator, other.denominator
+        return RationalPhase(self.numerator * b + other.numerator * a, a * b)
 
-    def __neg__(self) -> "RationalPhase":
+    def __neg__(self) -> RationalPhase:
         return RationalPhase(-self.numerator, self.denominator)
 
-    def scaled(self, k: int) -> "RationalPhase":
+    def scaled(self, k: int) -> RationalPhase:
         return RationalPhase(k * self.numerator, self.denominator)
 
     def to_complex(self) -> complex:
@@ -68,32 +109,36 @@ class RationalPhase:
 ZERO_PHASE = RationalPhase(0)
 
 
-@dataclass(frozen=True)
-class LatticeParams:
+class LatticeParams(_Frozen):
     """Lattice dimension parameter d; base exponents a0 = b0 = pi*sqrt(2/d).
 
     Only d is stored. The commutation phase of X^{m*a0} with Y^{n*b0} is
     exactly m*n/d turns. d=2 gives a0 = pi, d=4 gives a0 = pi/sqrt(2).
     """
 
-    d: int
+    __slots__ = ("d",)
 
-    def __post_init__(self):
-        if self.d < 2:
-            raise ValueError(f"lattice dimension must be >= 2, got {self.d}")
+    def __init__(self, d: int):
+        if d < 2:
+            raise ValueError(f"lattice dimension must be >= 2, got {d}")
+        object.__setattr__(self, "d", d)
 
 
-@dataclass(frozen=True)
-class WeylWord:
+class WeylWord(_Frozen):
     """Normal-ordered multi-party Weyl operator.
 
     `exponents[j] = (m_j, n_j)` places X_j^{m_j*a0} Y_j^{n_j*b0} on party j,
     X left of Y. Equality of canonical forms is plain structural equality.
     """
 
-    params: LatticeParams
-    exponents: tuple[tuple[int, int], ...]
-    phase: RationalPhase = ZERO_PHASE
+    __slots__ = ("params", "exponents", "phase")
+
+    def __init__(self, params: LatticeParams,
+                 exponents: tuple[tuple[int, int], ...],
+                 phase: RationalPhase = ZERO_PHASE):
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "exponents", exponents)
+        object.__setattr__(self, "phase", phase)
 
     @property
     def n_parties(self) -> int:
@@ -190,7 +235,7 @@ def commutation_phase(a: WeylWord, b: WeylWord) -> RationalPhase:
     return RationalPhase(symplectic(a.exponents, b.exponents), a.params.d)
 
 
-def is_scalar(a: WeylWord) -> Optional[RationalPhase]:
+def is_scalar(a: WeylWord) -> RationalPhase | None:
     """The word's phase if it is a scalar multiple of the identity, else None."""
     if all(e == (0, 0) for e in a.exponents):
         return a.phase

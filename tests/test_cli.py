@@ -1,9 +1,11 @@
 """CLI contract: exit codes, file format round trip, deterministic output."""
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -185,6 +187,23 @@ class TestSearch:
         assert err.startswith("input error: ") and err.count("\n") == 1
         assert target.read_text() == "keep\n"
 
+    def test_refusal_makes_no_emit_dir(self, capsys, tmp_path):
+        target = tmp_path / "found"
+        code, out, err = run(capsys, "search", "--parties", "3", "--dim",
+                             "2", "--operators", "4", "--max-exp", "1",
+                             "--max-space", "1e6", "--emit", str(target))
+        assert (code, out) == (3, "")
+        assert err.startswith("refused: ")
+        assert not target.exists()
+
+    def test_rejected_arguments_make_no_emit_dir(self, capsys, tmp_path):
+        target = tmp_path / "found"
+        code, out, _ = run(capsys, "search", "--parties", "1", "--dim", "2",
+                           "--operators", "2", "--max-exp", "0",
+                           "--emit", str(target))
+        assert (code, out) == (2, "")
+        assert not target.exists()
+
     def test_emit_write_failure_exit_two_before_output(self, capsys,
                                                         tmp_path):
         # the second class's file name is taken by a directory
@@ -205,6 +224,19 @@ class TestOracle:
         assert data["pass"] is True
         assert float(data["max_commutator_norm"]) < 1e-10
         assert float(data["product_deviation"]) < 1e-10
+
+    def test_monomials_built_once(self, capsys, monkeypatch):
+        built = []
+
+        def counted(word, *args):
+            built.append(word)
+            return real(word, *args)
+
+        real = oracle.monomial
+        monkeypatch.setattr(oracle, "monomial", counted)
+        code, _, _ = run(capsys, "oracle", "--set", "w6")
+        assert code == 0
+        assert len(built) == 7  # the six operators, then their product
 
     def test_dimension_refusal(self, capsys):
         code, out, err = run(capsys, "oracle", "--set", "w6",
@@ -313,6 +345,29 @@ class TestSimulate:
         assert err.startswith("input error: ") and err.count("\n") == 1
         assert not (tmp_path / "missing").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["--delta", "0.1,0.2"],
+        ["--delta", "0.2", "--envelope", "1e-300"],
+        ["--delta", "0.2", "--peaks", "0"],  # a zero-norm GHZ state
+    ])
+    def test_rejected_run_leaves_out_file_alone(self, capsys, tmp_path,
+                                                argv):
+        target = tmp_path / "out.csv"
+        target.write_text("keep\n")
+        code, out, err = run(capsys, "simulate", *argv, "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: ") and err.count("\n") == 1
+        assert target.read_text() == "keep\n"
+
+    def test_width_errors_name_the_flag(self, capsys, monkeypatch):
+        forbid(monkeypatch, states, "convergence_study")
+        for flag, argv in (("--envelope", ["--delta", "0.2",
+                                           "--envelope", "1e-300"]),
+                           ("--delta", ["--delta", "0.2,1e-300"])):
+            code, out, err = run(capsys, "simulate", *argv)
+            assert (code, out) == (2, "")
+            assert err.startswith(f"input error: {flag} must be "), err
+
     def test_byte_deterministic(self, capsys, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -388,31 +443,42 @@ def test_search_memory_is_bounded(tmp_path):
     assert peak_mib < 120
 
 
-_NUMPY_PROBE = "\nimport sys\nprint('numpy' in sys.modules)"
+def loaded(code: str, modules: list[str]) -> list[str]:
+    """Run `code` in a fresh interpreter; which of `modules` did it import?"""
+    probe = (f"\nimport sys\n"
+             f"print(*[m for m in {modules!r} if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code + probe],
+                          capture_output=True, text=True, env=cvghz_env(),
+                          check=True)
+    return proc.stdout.splitlines()[-1].split()
 
 
 def numpy_loaded(code: str) -> bool:
-    """Run `code` in a fresh interpreter; did it import numpy?"""
-    proc = subprocess.run([sys.executable, "-c", code + _NUMPY_PROBE],
-                          capture_output=True, text=True, env=cvghz_env(),
-                          check=True)
-    return proc.stdout.splitlines()[-1] == "True"
+    return loaded(code, ["numpy"]) == ["numpy"]
+
+
+# Start-up cost of every job: `dataclasses` pulls in `inspect` (and with it
+# `ast`, `dis` and `tokenize`), `fractions` pulls in `decimal`.
+SLOW_IMPORTS = ["dataclasses", "inspect", "fractions", "decimal"]
+
+STARTUP_CODES = [
+    "import cvghz",
+    "from cvghz import cli; cli.main(['--help'])",
+    "from cvghz import cli; cli.main(['verify', '--set', 'v4'])",
+    "from cvghz import cli; cli.main(['search', '--parties', '1', "
+    "'--dim', '2', '--operators', '2', '--max-exp', '1'])",
+    "from cvghz import cli; cli.main(['oracle', '--set', 'v4'])",
+    "from cvghz import cli; "
+    "cli.main(['oracle', '--set', 'w6', '--max-dim', '512'])",
+    "from cvghz import cli; cli.main(['simulate', '--delta', '0.2'])",
+]
 
 
 class TestStartup:
-    """No subcommand needs numpy, so none loads it."""
+    """No subcommand needs numpy or the slow standard-library imports, so
+    none loads them."""
 
-    @pytest.mark.parametrize("code", [
-        "import cvghz",
-        "from cvghz import cli; cli.main(['--help'])",
-        "from cvghz import cli; cli.main(['verify', '--set', 'v4'])",
-        "from cvghz import cli; cli.main(['search', '--parties', '1', "
-        "'--dim', '2', '--operators', '2', '--max-exp', '1'])",
-        "from cvghz import cli; cli.main(['oracle', '--set', 'v4'])",
-        "from cvghz import cli; "
-        "cli.main(['oracle', '--set', 'w6', '--max-dim', '512'])",
-        "from cvghz import cli; cli.main(['simulate', '--delta', '0.2'])",
-    ])
+    @pytest.mark.parametrize("code", STARTUP_CODES)
     def test_numpy_not_loaded(self, code):
         assert not numpy_loaded(code)
 
@@ -420,6 +486,43 @@ class TestStartup:
         assert numpy_loaded("from cvghz import oracle, paradox; "
                             "oracle.represent(paradox.builtin('v4')"
                             ".operators[0])")
+
+    @pytest.mark.parametrize("code", STARTUP_CODES)
+    def test_slow_imports_not_loaded(self, code):
+        assert loaded(code, SLOW_IMPORTS) == []
+
+    def test_probe_sees_slow_imports(self):
+        # RationalPhase.turns is the one caller of fractions in cvghz
+        assert loaded("import cvghz; cvghz.RationalPhase(1, 2).turns; "
+                      "import dataclasses",
+                      SLOW_IMPORTS) == SLOW_IMPORTS
+
+
+class TestFilesClosed:
+    """Every file a subcommand opens is closed before it returns.
+
+    An unclosed file warns only when it is collected, inside `__del__`,
+    where pytest's `-W error` cannot turn the warning into a failure; so
+    the warnings are recorded here and the garbage collected at once.
+    """
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "--parties", "1", "--dim", "2", "--operators", "2",
+         "--max-exp", "1", "--emit", "{tmp}/found"],
+        ["simulate", "--delta", "0.05", "--out", "{tmp}/conv.csv"],
+        ["verify", "--file", "{tmp}/v4.json"],
+    ])
+    def test_no_resource_warning(self, capsys, tmp_path, argv):
+        (tmp_path / "v4.json").write_text(
+            json.dumps(cli.set_to_dict(builtin("v4"))))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main([a.format(tmp=tmp_path) for a in argv])
+            gc.collect()
+        capsys.readouterr()
+        assert code == 0
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, ResourceWarning)] == []
 
 
 class TestStandardLibraryOnly:

@@ -30,6 +30,25 @@ class TestRationalPhase:
         with pytest.raises(ZeroDivisionError):
             RationalPhase(1, 0)
 
+    @given(st.integers())
+    def test_zero_denominator_rejected_for_any_numerator(self, n):
+        with pytest.raises(ZeroDivisionError):
+            RationalPhase(n, 0)
+
+    @given(st.integers(), st.integers().filter(bool),
+           st.integers(), st.integers().filter(bool))
+    @settings(max_examples=300)
+    def test_agrees_with_fraction_mod_one(self, n, d, n2, d2):
+        # every sign of numerator and denominator, reduced as Fraction does
+        f, g = Fraction(n, d) % 1, Fraction(n2, d2) % 1
+        p, q = RationalPhase(n, d), RationalPhase(n2, d2)
+        assert (p.numerator, p.denominator) == (f.numerator, f.denominator)
+        assert p.turns == f
+        s = (f + g) % 1
+        assert ((p + q).numerator, (p + q).denominator) \
+            == (s.numerator, s.denominator)
+        assert (-p).turns == -f % 1
+
     def test_to_complex(self):
         assert abs(RationalPhase(1, 2).to_complex() + 1) < 1e-15
         assert abs(RationalPhase(1, 4).to_complex() - 1j) < 1e-15
