@@ -202,10 +202,14 @@ def cmd_verify(args) -> int:
 
 def cmd_search(args) -> int:
     # the search checks its arguments and may refuse, so --emit is made only
-    # after it; a target that cannot be a directory costs no search
-    if args.emit and os.path.exists(args.emit) \
-            and not os.path.isdir(args.emit):
-        raise InputError(f"cannot create {args.emit}: not a directory")
+    # after it; a target that cannot be a directory costs no search, and
+    # it can be one only if its nearest existing ancestor is a directory
+    if args.emit:
+        ancestor = os.path.abspath(args.emit)
+        while not os.path.exists(ancestor):
+            ancestor = os.path.dirname(ancestor)
+        if not os.path.isdir(ancestor):
+            raise InputError(f"cannot create {args.emit}: not a directory")
     try:
         results = paradox.search(LatticeParams(args.dim), args.parties,
                                  args.operators, args.max_exp,
@@ -304,6 +308,8 @@ def cmd_simulate(args) -> int:
         raise InputError(f"bad --delta list: {exc}") from None
     if not deltas:
         raise InputError("--delta list is empty")
+    if args.peaks < 1:  # --peaks 0 is one peak: up and down combs are equal
+        raise InputError(f"--peaks must be >= 1, got {args.peaks}")
     try:  # the study checks these too, but names its own parameters
         for delta in deltas:
             states._check_width("--delta", delta, 8.0)

@@ -58,16 +58,13 @@ def _norm(vec: list[complex]) -> float:
 class Monomial(_Frozen):
     """D x D matrix whose column k holds coeff[k] at row image[k] only.
 
-    Equal only to itself, as the lists it holds are not hashable.
+    `image` is a permutation of range(D). Equal only to itself, as the
+    lists it holds are not hashable.
     """
 
     __slots__ = ("image", "coeff")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-
-    def __init__(self, image: list[int], coeff: list[complex]):
-        object.__setattr__(self, "image", image)  # a permutation of range(D)
-        object.__setattr__(self, "coeff", coeff)
 
     @classmethod
     def scalar(cls, dim: int, value: complex) -> "Monomial":
@@ -164,14 +161,6 @@ def _images(op_set: OperatorSet,
 class OracleReport(_Frozen):
     __slots__ = ("dimension", "max_commutator_norm", "product_deviation",
                  "max_unitarity_defect")
-
-    def __init__(self, dimension: int, max_commutator_norm: float,
-                 product_deviation: float, max_unitarity_defect: float):
-        object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "max_commutator_norm", max_commutator_norm)
-        object.__setattr__(self, "product_deviation", product_deviation)
-        object.__setattr__(self, "max_unitarity_defect",
-                           max_unitarity_defect)
 
 
 def check_set(op_set: OperatorSet,

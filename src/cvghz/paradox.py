@@ -20,9 +20,8 @@ import math
 from collections.abc import Iterable, Sequence
 from math import comb as binomial
 
-from .weyl import (LatticeParams, RationalPhase, WeylWord, _Frozen,
-                   commutation_phase, crossing, is_scalar, product,
-                   symplectic)
+from .weyl import (LatticeParams, WeylWord, _Frozen, commutation_phase,
+                   crossing, is_scalar, product, symplectic)
 
 DEFAULT_SPACE_CEILING = 2e13
 
@@ -71,17 +70,6 @@ class OperatorSet(_Frozen):
 class ParadoxReport(_Frozen):
     __slots__ = ("pairwise_phases", "column_sums", "product", "is_commuting",
                  "is_lhv_trivial", "product_phase", "is_paradox")
-
-    def __init__(self,
-                 pairwise_phases: tuple[tuple[RationalPhase, ...], ...],
-                 column_sums: tuple[tuple[int, int], ...],
-                 product: WeylWord, is_commuting: bool,
-                 is_lhv_trivial: bool, product_phase: RationalPhase | None,
-                 is_paradox: bool):
-        for name, value in zip(self.__slots__, (
-                pairwise_phases, column_sums, product, is_commuting,
-                is_lhv_trivial, product_phase, is_paradox)):
-            object.__setattr__(self, name, value)
 
 
 class LhvAssignment(_Frozen):
@@ -243,25 +231,16 @@ def canonicalize(op_set: OperatorSet) -> OperatorSet:
                        op_set.name)
 
 
-def _default_pairs(max_exponent: int) -> list[tuple[int, int]]:
-    r = range(-max_exponent, max_exponent + 1)
-    return [(m, n) for m in r for n in r]
+class _SearchTables(_Frozen):
+    """The tables of one search, as `_tables` builds them for `_walk`."""
+
+    __slots__ = ("d", "n_operators", "rows", "first_rows", "flat", "weights",
+                 "code", "code_index", "comm", "lo", "hi")
 
 
-def search(params: LatticeParams, n_parties: int, n_operators: int,
-           max_exponent: int,
-           allowed_pairs: Sequence[tuple[int, int]] | None = None,
-           space_ceiling: float = DEFAULT_SPACE_CEILING) -> list[OperatorSet]:
-    """Exhaustively enumerate paradox sets, canonicalized and de-duplicated.
-
-    Enumerates exponent matrices with per-party (m, n) entries drawn from
-    [-max_exponent, max_exponent]^2 (or `allowed_pairs`), keeping sets that
-    pass all three paradox conditions. Identity rows are excluded (an
-    identity operator adds nothing to a paradox). Enumeration is a DFS over
-    sorted row multisets; the last row is forced by the zero-column-sum
-    condition, commutation is pruned incrementally via precomputed bitmasks,
-    and partial column sums are bounded by what the remaining rows can still
-    cancel.
+def _tables(d: int, n_parties: int, n_operators: int,
+            pairs: Sequence[tuple[int, int]]) -> _SearchTables:
+    """Rows, codes, commutation masks and windows over distinct `pairs`.
 
     First-row rule (orderly generation): party permutations keep a row
     multiset inside the alphabet, and so do per-party sign flips when the
@@ -269,42 +248,16 @@ def search(params: LatticeParams, n_parties: int, n_operators: int,
     closed alphabet and fold(e) = e otherwise, and key(row) =
     sorted(fold(e) for e in row), every class therefore has a member whose
     smallest row r equals key(r) and whose other rows all have key >= r.
-    The rows are indexed in (key(row), row) order; the DFS starts only from
-    rows with row == key(row) and never steps to a smaller index. Folding
-    and sorting never increase a tuple, so key(row) <= row, every other row
-    with key r sorts after r, and "index >= r's" is exactly "key >= r".
-    `canonical_rows` still de-duplicates every hit.
+    The rows are indexed in (key(row), row) order, and `first_rows` holds
+    the rows with row == key(row). Folding and sorting never increase a
+    tuple, so key(row) <= row, every other row with key r sorts after r,
+    and "index >= r's" is exactly "key >= r".
 
     Commutation masks are built party by party: symplectic(a, b) is the sum
     of the one-party forms symplectic((a_t,), (b_t,)), so for each residue
     class the rows whose partial form is s mod d are folded over the parties
     from one bitmask per (party, pair mod d).
     """
-    if max_exponent < 1:
-        raise ValueError("max_exponent must be >= 1")
-    if n_operators < 1 or n_parties < 1:
-        raise ValueError("n_operators and n_parties must be >= 1")
-    if math.isnan(space_ceiling):
-        raise ValueError("space_ceiling must not be NaN")
-    d = params.d
-    pairs = sorted(set(map(tuple, allowed_pairs))) \
-        if allowed_pairs is not None else _default_pairs(max_exponent)
-    for m, n in pairs:
-        if max(abs(m), abs(n)) > max_exponent:
-            raise ValueError(f"allowed pair {(m, n)} exceeds max_exponent")
-
-    # every choice of one pair per party except the identity row
-    n_rows = len(pairs) ** n_parties - ((0, 0) in pairs)
-    if n_rows == 0 or n_operators < 2:
-        return []
-
-    # the DFS visits row multisets; the commutation masks cost n_rows^2
-    estimate = float(max(binomial(n_rows + n_operators - 2, n_operators - 1),
-                         n_rows ** 2))
-    if estimate > space_ceiling:
-        raise SearchSpaceError(estimate, space_ceiling)
-
-    # rows in (key(row), row) order, for the first-row rule above
     zero_row = ((0, 0),) * n_parties
     closed = {(-m, -n) for m, n in pairs} == set(pairs)
     keyed = sorted(
@@ -319,7 +272,7 @@ def search(params: LatticeParams, n_parties: int, n_operators: int,
     # Balanced mixed-radix code of a flat exponent vector: linear, and
     # injective on vectors with every entry in [-span, span], which covers
     # every partial column sum of up to n_operators rows.
-    span = max_exponent * n_operators
+    span = n_operators * max(abs(v) for pair in pairs for v in pair)
     weights = [(2 * span + 1) ** c for c in range(2 * n_parties)]
     code = [sum(map(int.__mul__, f, weights)) for f in flat]
     code_index = {c: i for i, c in enumerate(code)}
@@ -337,15 +290,11 @@ def search(params: LatticeParams, n_parties: int, n_operators: int,
     for i, row in enumerate(rows):
         for t, (m, n) in enumerate(row):
             holds[t][m % d, n % d] |= 1 << i
-    one = {a: [symplectic((a,), (b,)) % d for b in residue_pairs]
-           for a in residue_pairs}
     forms = []
     for held in holds:
-        table = {}
-        for a in residue_pairs:
-            table[a] = by_value = [0] * d
-            for v, b in zip(one[a], residue_pairs):
-                by_value[v] |= held[b]
+        table = {a: [0] * d for a in residue_pairs}
+        for a, b in itertools.product(residue_pairs, repeat=2):
+            table[a][symplectic((a,), (b,)) % d] |= held[b]
         forms.append(table)
     class_comm: dict = {}
     comm = []
@@ -365,23 +314,22 @@ def search(params: LatticeParams, n_parties: int, n_operators: int,
     # Per-column bounds of a single row's contribution, for sum pruning.
     lo = [min(f[c] for f in flat) for c in range(2 * n_parties)]
     hi = [max(f[c] for f in flat) for c in range(2 * n_parties)]
+    return _SearchTables(d, n_operators, rows, first_rows, flat, weights,
+                         code, code_index, comm, lo, hi)
 
+
+def _walk(tables: _SearchTables, visit) -> None:
+    """Call visit(rows) once for each paradox row multiset in first-row form.
+
+    A DFS over sorted row multisets: it starts only from `first_rows` and
+    never steps to a smaller index. Commutation is pruned incrementally
+    through the masks, and each partial column sum must stay inside the
+    window that the remaining rows can still cancel. The last row is forced
+    by the zero-column-sum condition and found by its code.
+    """
+    (d, n_operators, rows, first_rows, flat, weights, code, code_index,
+     comm, lo, hi) = tables._fields()
     k_free = n_operators - 1  # last row is forced by the column sums
-    found: dict = {}
-
-    def emit(chosen_idx: list[int]) -> None:
-        # Commutation and zero column sums hold by construction; only the
-        # product phase, -sum over i < j of crossing(row_i, row_j) / d,
-        # decides paradox-hood here. Swapping two rows changes that sum by
-        # their symplectic form, 0 mod d for commuting rows, so the phase
-        # mod d does not depend on the order the DFS chose.
-        chosen_rows = [rows[i] for i in chosen_idx]
-        crossings = sum(crossing(a, b)
-                        for a, b in itertools.combinations(chosen_rows, 2))
-        if crossings % d:
-            key = canonical_rows(chosen_rows)
-            if key not in found:
-                found[key] = set_from_rows(d, key)
 
     def extend(depth: int, mask: int, cands: int,
                sums: tuple[int, ...]) -> None:
@@ -398,9 +346,16 @@ def search(params: LatticeParams, n_parties: int, n_operators: int,
                 fi = code_index.get(target - code[i])
                 if fi is not None and fi >= i \
                         and (cands & comm[i]) >> fi & 1:
-                    _stack.append(i)
-                    emit(_stack + [fi])
-                    _stack.pop()
+                    # Commutation and zero column sums hold by construction;
+                    # only the product phase, -sum over i < j of
+                    # crossing(row_i, row_j) / d, decides paradox-hood here.
+                    # Swapping two rows changes that sum by their symplectic
+                    # form, 0 mod d for commuting rows, so the phase mod d
+                    # does not depend on the order the DFS chose.
+                    hit = [rows[j] for j in _stack] + [rows[i], rows[fi]]
+                    if sum(crossing(a, b)
+                           for a, b in itertools.combinations(hit, 2)) % d:
+                        visit(hit)
             return
         remaining = n_operators - depth - 1  # rows still to place after this one
         # future rows keep column c's reachable window in [-r*hi, -r*lo]
@@ -411,18 +366,59 @@ def search(params: LatticeParams, n_parties: int, n_operators: int,
             i = lsb.bit_length() - 1
             mask ^= lsb
             new_sums = tuple(map(int.__add__, sums, flat[i]))
-            ok = True
             for s, wl, wh in zip(new_sums, win_lo, win_hi):
                 if s < wl or s > wh:
-                    ok = False
                     break
-            if ok:
+            else:
                 _stack.append(i)
                 child = (cands & comm[i]) >> i << i  # index >= i
                 extend(depth + 1, child, child, new_sums)
                 _stack.pop()
 
     _stack: list[int] = []
-    zero_sums = (0,) * (2 * n_parties)
-    extend(0, first_rows, (1 << n_rows) - 1, zero_sums)
-    return [found[k] for k in sorted(found)]
+    extend(0, first_rows, (1 << len(rows)) - 1, (0,) * len(weights))
+
+
+def search(params: LatticeParams, n_parties: int, n_operators: int,
+           max_exponent: int,
+           allowed_pairs: Sequence[tuple[int, int]] | None = None,
+           space_ceiling: float = DEFAULT_SPACE_CEILING) -> list[OperatorSet]:
+    """Exhaustively enumerate paradox sets, canonicalized and de-duplicated.
+
+    Enumerates exponent matrices with per-party (m, n) entries drawn from
+    [-max_exponent, max_exponent]^2 (or `allowed_pairs`), keeping sets that
+    pass all three paradox conditions. Identity rows are excluded (an
+    identity operator adds nothing to a paradox). `_tables` builds the rows
+    and masks, `_walk` finds each class at least once in first-row form,
+    and `canonical_rows` de-duplicates the hits.
+    """
+    if max_exponent < 1:
+        raise ValueError("max_exponent must be >= 1")
+    if n_operators < 1 or n_parties < 1:
+        raise ValueError("n_operators and n_parties must be >= 1")
+    if math.isnan(space_ceiling):
+        raise ValueError("space_ceiling must not be NaN")
+    d = params.d
+    if allowed_pairs is None:
+        r = range(-max_exponent, max_exponent + 1)
+        allowed_pairs = itertools.product(r, repeat=2)
+    pairs = sorted(set(map(tuple, allowed_pairs)))
+    for m, n in pairs:
+        if max(abs(m), abs(n)) > max_exponent:
+            raise ValueError(f"allowed pair {(m, n)} exceeds max_exponent")
+
+    # every choice of one pair per party except the identity row
+    n_rows = len(pairs) ** n_parties - ((0, 0) in pairs)
+    if n_rows == 0 or n_operators < 2:
+        return []
+
+    # the DFS visits row multisets; the commutation masks cost n_rows^2
+    estimate = float(max(binomial(n_rows + n_operators - 2, n_operators - 1),
+                         n_rows ** 2))
+    if estimate > space_ceiling:
+        raise SearchSpaceError(estimate, space_ceiling)
+
+    found: set = set()
+    _walk(_tables(d, n_parties, n_operators, pairs),
+          lambda hit: found.add(canonical_rows(hit)))
+    return [set_from_rows(d, key) for key in sorted(found)]

@@ -278,12 +278,6 @@ def quadrature_check(state: ProductStateSum, word: WeylWord,
 class ConvergenceRow(_Frozen):
     __slots__ = ("delta", "expectations", "deviation")
 
-    def __init__(self, delta: float, expectations: tuple[complex, ...],
-                 deviation: float):
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "expectations", expectations)
-        object.__setattr__(self, "deviation", deviation)
-
 
 def convergence_study(deltas: list[float], n_peaks: int = 20,
                       envelope_width: float = 10.0) -> list[ConvergenceRow]:

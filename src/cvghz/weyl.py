@@ -23,11 +23,25 @@ class _Frozen:
 
     The semantics of a frozen dataclass, without the cost of importing and
     running `dataclasses` at start-up. A subclass lists its fields in
-    __slots__, in order, and sets them in __init__ with
+    __slots__, in order, and the shared __init__ binds positional and
+    keyword arguments to them. A subclass that checks, normalises or
+    defaults its fields sets them in its own __init__ with
     object.__setattr__. Equal values have the same type.
     """
 
     __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        # a subclass that adds no fields (`__slots__ = ()`) has its parent's
+        names = next(c.__slots__ for c in type(self).__mro__ if c.__slots__)
+        rest = names[len(args):]  # the fields left to keywords
+        if len(args) + len(kwargs) != len(names) \
+                or kwargs and any(name not in rest for name in kwargs):
+            raise TypeError(
+                f"{type(self).__name__} takes the fields {', '.join(names)}, "
+                f"each once; got {len(args)} positional and {sorted(kwargs)}")
+        for name, value in zip(names, args + tuple(map(kwargs.get, rest))):
+            object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])

@@ -187,6 +187,20 @@ class TestSearch:
         assert err.startswith("input error: ") and err.count("\n") == 1
         assert target.read_text() == "keep\n"
 
+    def test_emit_below_regular_file_rejected_before_search(
+            self, capsys, monkeypatch, tmp_path):
+        # the nearest existing ancestor of the target is a regular file
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+        forbid(monkeypatch, paradox, "search")
+        code, out, err = run(capsys, "search", "--parties", "3", "--dim",
+                             "2", "--operators", "4", "--max-exp", "1",
+                             "--emit", str(taken / "sub" / "deeper"))
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: ") and err.count("\n") == 1
+        assert taken.read_text() == "keep\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
     def test_refusal_makes_no_emit_dir(self, capsys, tmp_path):
         target = tmp_path / "found"
         code, out, err = run(capsys, "search", "--parties", "3", "--dim",
@@ -358,6 +372,16 @@ class TestSimulate:
         assert (code, out) == (2, "")
         assert err.startswith("input error: ") and err.count("\n") == 1
         assert target.read_text() == "keep\n"
+
+    @pytest.mark.parametrize("peaks", ["-1", "0"])
+    def test_peaks_below_one_named_before_study(self, capsys, monkeypatch,
+                                                peaks):
+        # --peaks 0 is one peak, whose up and down combs are equal
+        forbid(monkeypatch, states, "convergence_study")
+        code, out, err = run(capsys, "simulate", "--delta", "0.2",
+                             "--peaks", peaks)
+        assert (code, out) == (2, "")
+        assert err == f"input error: --peaks must be >= 1, got {peaks}\n"
 
     def test_width_errors_name_the_flag(self, capsys, monkeypatch):
         forbid(monkeypatch, states, "convergence_study")

@@ -255,6 +255,18 @@ def search_keys(results):
 
 UNIT_PAIRS = [(m, n) for m in (-1, 0, 1) for n in (-1, 0, 1)]
 
+# (d, n_parties, n_operators, pairs, classes): alphabets not closed under
+# negation, so only party permutations may move a class member to its
+# first-row form
+NON_CLOSED = [
+    (2, 2, 3, [(-1, 1), (0, -1), (0, 1), (1, -1), (1, 0)], 3),
+    (4, 2, 3, [(-1, 0), (0, 1), (1, -1)], 3),
+    (4, 2, 3, [(-1, -1), (0, 0), (0, 1), (1, 0)], 3),
+    (3, 2, 4, [(-1, -1), (0, 1), (1, -1), (1, 1)], 2),
+    (3, 1, 4, [(-1, 1), (0, 0), (1, -1), (1, 0)], 1),
+    (3, 1, 2, [(-1, -1), (-1, 1), (0, 1), (1, -1), (1, 1)], 2),
+]
+
 
 @st.composite
 def small_searches(draw):
@@ -286,16 +298,8 @@ class TestSearch:
         assert search_keys(got) == sorted(want)
         assert len(want) == classes
 
-    # alphabets not closed under negation: only party permutations may
-    # move a class member to its first-row form
-    @pytest.mark.parametrize("d,n_parties,n_operators,pairs,classes", [
-        (2, 2, 3, [(-1, 1), (0, -1), (0, 1), (1, -1), (1, 0)], 3),
-        (4, 2, 3, [(-1, 0), (0, 1), (1, -1)], 3),
-        (4, 2, 3, [(-1, -1), (0, 0), (0, 1), (1, 0)], 3),
-        (3, 2, 4, [(-1, -1), (0, 1), (1, -1), (1, 1)], 2),
-        (3, 1, 4, [(-1, 1), (0, 0), (1, -1), (1, 0)], 1),
-        (3, 1, 2, [(-1, -1), (-1, 1), (0, 1), (1, -1), (1, 1)], 2),
-    ])
+    @pytest.mark.parametrize("d,n_parties,n_operators,pairs,classes",
+                             NON_CLOSED)
     def test_matches_brute_force_non_closed(self, d, n_parties, n_operators,
                                             pairs, classes):
         want = reference_search(d, n_parties, n_operators, 1, pairs)
@@ -318,21 +322,16 @@ class TestSearch:
         (2, 2, 3, [(-1, 1), (0, -1), (0, 1), (1, -1), (1, 0)]),
         (4, 2, 3, [(-1, -1), (0, 0), (0, 1), (1, 0)]),
     ])
-    def test_hits_are_in_first_row_form(self, monkeypatch, d, n_parties,
-                                        n_operators, pairs):
-        # every hit the DFS canonicalizes starts from its least row r in
-        # folded sorted form, and no other row's folded key is below r
+    def test_hits_are_in_first_row_form(self, d, n_parties, n_operators,
+                                        pairs):
+        # every hit of the walk starts from its least row r in folded
+        # sorted form, and no other row's folded key is below r
         closed = pairs is None or all((-m, -n) in pairs for m, n in pairs)
         fold = (lambda e: min(e, (-e[0], -e[1]))) if closed else (lambda e: e)
+        tables = paradox._tables(d, n_parties, n_operators,
+                                 sorted(pairs or UNIT_PAIRS))
         hits = []
-
-        def recording(rows):
-            hits.append(list(rows))
-            return canonical_rows(rows)
-
-        monkeypatch.setattr(paradox, "canonical_rows", recording)
-        search(LatticeParams(d), n_parties, n_operators, 1,
-               allowed_pairs=pairs)
+        paradox._walk(tables, hits.append)
         assert hits
         for rows in hits:
             first = min(rows)
@@ -407,6 +406,84 @@ class TestSearch:
             search(LatticeParams(4), 2, 3, 1, allowed_pairs=[(0, -3), (1, 0)])
 
 
+def orbit_count(rows, pairs):
+    """n(c): the distinct sorted images of the row multiset under party
+    permutations and per-party sign flips whose entries all stay in the
+    alphabet `pairs`."""
+    alphabet = set(map(tuple, pairs))
+    n_parties = len(rows[0])
+    images = set()
+    for perm in itertools.permutations(range(n_parties)):
+        for signs in itertools.product((1, -1), repeat=n_parties):
+            image = tuple(sorted(
+                tuple((s * row[p][0], s * row[p][1])
+                      for s, p in zip(signs, perm))
+                for row in rows))
+            if all(e in alphabet for row in image for e in row):
+                images.add(image)
+    return len(images)
+
+
+def orbit_sum(classes, pairs):
+    return sum(orbit_count(s.rows, pairs) for s in classes)
+
+
+def raw_count(d, n_parties, n_operators, pairs):
+    """R: the number of paradox row multisets over the alphabet.
+
+    The search's own walk over its own tables, but with every row allowed
+    as the first row and no hit canonicalized.
+    """
+    pairs = sorted(set(map(tuple, pairs)))
+    if len(pairs) ** n_parties - ((0, 0) in pairs) == 0:
+        return 0
+    tables = paradox._tables(d, n_parties, n_operators, pairs)
+    fields = dict(zip(tables.__slots__, tables._fields()))
+    fields["first_rows"] = (1 << len(tables.rows)) - 1
+    hits = []
+    paradox._walk(paradox._SearchTables(**fields),
+                  lambda rows: hits.append(tuple(sorted(rows))))
+    assert len(set(hits)) == len(hits)  # each multiset once
+    return len(hits)
+
+
+class TestOrbitCount:
+    """Orbit-stabilizer: the classes' orbit sizes inside the alphabet sum
+    to R, the number of paradox row multisets. A class that the search
+    drops or splits, or a multiset that the walk misses, breaks the sum;
+    this checks the search at sizes the brute force cannot reach."""
+
+    def test_d3_snapshot(self):
+        classes = search(LatticeParams(3), 3, 4, 1)
+        assert orbit_sum(classes, UNIT_PAIRS) \
+            == raw_count(3, 3, 4, UNIT_PAIRS) == 57390
+
+    @pytest.mark.parametrize("d,n_parties,n_operators,pairs,classes",
+                             NON_CLOSED)
+    def test_non_closed_alphabets(self, d, n_parties, n_operators, pairs,
+                                  classes):
+        found = search(LatticeParams(d), n_parties, n_operators, 1,
+                       allowed_pairs=pairs)
+        assert len(found) == classes
+        assert orbit_sum(found, pairs) \
+            == raw_count(d, n_parties, n_operators, pairs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_searches())
+    def test_sub_alphabets(self, case):
+        d, n_parties, n_operators, pairs = case
+        found = search(LatticeParams(d), n_parties, n_operators, 1,
+                       allowed_pairs=pairs)
+        assert orbit_sum(found, pairs) \
+            == raw_count(d, n_parties, n_operators, pairs)
+
+    @pytest.mark.slow
+    def test_acceptance_search(self):
+        classes = search(LatticeParams(2), 3, 4, 1)
+        assert orbit_sum(classes, UNIT_PAIRS) \
+            == raw_count(2, 3, 4, UNIT_PAIRS) == 106824
+
+
 def test_search_snapshot_d3():
     # frozen regression count for the exhaustive d=3 enumeration
     results = search(LatticeParams(3), 3, 4, 1)
@@ -426,3 +503,5 @@ def test_search_rediscovers_w6_pattern():
     assert target.rows in {s.rows for s in results}
     for s in results:
         assert verify(s).is_paradox
+    # the raw walk that gives R = 2,048 takes minutes, so R is pinned
+    assert orbit_sum(results, pairs) == 2048

@@ -88,6 +88,33 @@ class TestFrozenValue:
             assert b == a and type(b) is cls
 
 
+# the classes that bind their fields with the shared _Frozen.__init__
+SHARED_INIT = [case for case in CASES
+               if case[0] in (ParadoxReport, OracleReport, ConvergenceRow)]
+
+
+@pytest.mark.parametrize("cls, values, text", SHARED_INIT,
+                         ids=[cls.__name__ for cls, _, _ in SHARED_INIT])
+class TestSharedInit:
+    def test_mixed_positional_and_keyword(self, cls, values, text):
+        _, *rest = cls.__slots__
+        assert cls(values[0], **dict(zip(rest, values[1:]))) == cls(*values)
+
+    @pytest.mark.parametrize("args, kwargs", [
+        (lambda v: v[:-1], lambda f, v: {}),  # missing
+        (lambda v: v + (0,), lambda f, v: {}),  # extra
+        (lambda v: v, lambda f, v: {"bogus": 0}),  # unknown
+        (lambda v: v[:-1], lambda f, v: {"bogus": 0}),  # unknown for missing
+        (lambda v: v, lambda f, v: {f[0]: v[0]}),  # repeated
+        (lambda v: v[:-1], lambda f, v: {f[0]: v[0]}),  # repeated for missing
+    ], ids=["missing", "extra", "unknown", "unknown-for-missing",
+            "repeated", "repeated-for-missing"])
+    def test_bad_fields_raise_type_error(self, cls, values, text, args,
+                                         kwargs):
+        with pytest.raises(TypeError, match=cls.__name__):
+            cls(*args(values), **kwargs(cls.__slots__, values))
+
+
 def test_defaults():
     assert RationalPhase(5) == RationalPhase(5, 1) == RationalPhase(0)
     assert WeylWord(P2, ((1, 0),)).phase == RationalPhase(0)
@@ -141,6 +168,14 @@ class TestMonomial:
         a = Monomial(image=[1, 0], coeff=[1j, -1 + 0j])
         assert (a.image, a.coeff) == ([1, 0], [1j, -1 + 0j])
         assert repr(a) == "Monomial(image=[1, 0], coeff=[1j, (-1+0j)])"
+
+    def test_bad_fields_raise_type_error(self):
+        with pytest.raises(TypeError):
+            Monomial([0])
+        with pytest.raises(TypeError):
+            Monomial([0], [1j], [1j])
+        with pytest.raises(TypeError):
+            Monomial([0], coeff=[1j], scale=2)
 
     def test_fields_are_read_only(self):
         a = Monomial([0], [1 + 0j])
