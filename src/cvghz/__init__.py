@@ -9,14 +9,14 @@ command-line front end (`cli`).
 from .weyl import (LatticeParams, RationalPhase, WeylWord, commutation_phase,
                    dagger, identity_word, is_scalar, make_generator, multiply,
                    product)
-from .paradox import (LhvAssignment, OperatorSet, ParadoxReport,
+from .paradox import (LhvAssignment, OperatorSet, ParadoxReport, Refusal,
                       SearchSpaceError, builtin, canonicalize, lhv_value,
                       search, set_from_rows, verify)
 
 __all__ = [
     "LatticeParams", "RationalPhase", "WeylWord", "commutation_phase",
     "dagger", "identity_word", "is_scalar", "make_generator", "multiply",
-    "product", "LhvAssignment", "OperatorSet", "ParadoxReport",
+    "product", "LhvAssignment", "OperatorSet", "ParadoxReport", "Refusal",
     "SearchSpaceError", "builtin", "canonicalize", "lhv_value", "search",
     "set_from_rows", "verify",
 ]

@@ -1,11 +1,13 @@
 """Command-line entry point: verify, search, oracle, simulate.
 
-Exit codes are a stable contract:
+Exit codes are a stable contract, and only `main` maps exceptions to them:
   0  success (paradox confirmed / checks passed)
   1  well-formed negative result
-  2  input error (bad flags, malformed file, an output that cannot be
-     written, stdout included)
-  3  resource refusal (search space or matrix dimension too large)
+  2  input error, any `ValueError`: bad flags or values, a malformed file,
+     an output that cannot be written (stdout included)
+  3  resource refusal, a `paradox.Refusal`: search space or matrix
+     dimension too large
+Any other exception is a bug and keeps its traceback.
 
 Operator-set files are JSON::
 
@@ -25,7 +27,7 @@ import os
 import sys
 
 from . import paradox
-from .paradox import OperatorSet, SearchSpaceError
+from .paradox import OperatorSet, Refusal
 from .weyl import LatticeParams, WeylWord
 
 EXIT_OK = 0
@@ -34,8 +36,8 @@ EXIT_INPUT = 2
 EXIT_REFUSED = 3
 
 
-class InputError(Exception):
-    pass
+class InputError(ValueError):
+    """A bad flag, file or output, named in the CLI's own terms."""
 
 
 def _fmt(x: float) -> str:
@@ -122,13 +124,9 @@ def load_set(spec: str | None, path: str | None) -> OperatorSet:
 _PARTY_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
-def _unit_symbol(d: int) -> str:
-    return {2: "pi", 4: "q"}.get(d, "a0")
-
-
 def render_word(word: WeylWord) -> str:
     """Human-readable rendering, e.g. X_A^pi Y_B^-pi for d=2."""
-    unit = _unit_symbol(word.params.d)
+    unit = {2: "pi", 4: "q"}.get(word.params.d, "a0")
     parts = []
     for j, (m, n) in enumerate(word.exponents):
         label = _PARTY_LETTERS[j % len(_PARTY_LETTERS)]
@@ -210,15 +208,9 @@ def cmd_search(args) -> int:
             ancestor = os.path.dirname(ancestor)
         if not os.path.isdir(ancestor):
             raise InputError(f"cannot create {args.emit}: not a directory")
-    try:
-        results = paradox.search(LatticeParams(args.dim), args.parties,
-                                 args.operators, args.max_exp,
-                                 space_ceiling=args.max_space)
-    except SearchSpaceError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_REFUSED
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    results = paradox.search(LatticeParams(args.dim), args.parties,
+                             args.operators, args.max_exp,
+                             space_ceiling=args.max_space)
     if args.emit:  # files first, so that a failed write leaves stdout empty
         try:
             os.makedirs(args.emit, exist_ok=True)
@@ -250,11 +242,7 @@ def cmd_oracle(args) -> int:
     op_set = load_set(args.set, args.file)
     ceiling = (oracle.DEFAULT_DIM_CEILING if args.max_dim is None
                else args.max_dim)
-    try:
-        report = oracle.check_set(op_set, dim_ceiling=ceiling)
-    except oracle.DimensionCeilingError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_REFUSED
+    report = oracle.check_set(op_set, dim_ceiling=ceiling)
     sym = paradox.verify(op_set)
     lines = {
         "dimension": report.dimension,
@@ -271,12 +259,9 @@ def cmd_oracle(args) -> int:
     if sym.is_commuting:
         _, vals = oracle.joint_eigenvector(op_set, seed=args.seed,
                                            dim_ceiling=ceiling)
-        prod = 1.0 + 0.0j
-        for v in vals:
-            prod *= v
         eig_lines = {
             "eigenvalues": [_fmt_complex(v) for v in vals],
-            "eigenvalue_product": _fmt_complex(prod),
+            "eigenvalue_product": _fmt_complex(math.prod(vals, start=1 + 0j)),
         }
         ok = ok and all(abs(abs(v) - 1.0) < oracle.EIGEN_TOL
                         for v in vals)
@@ -310,22 +295,17 @@ def cmd_simulate(args) -> int:
         raise InputError("--delta list is empty")
     if args.peaks < 1:  # --peaks 0 is one peak: up and down combs are equal
         raise InputError(f"--peaks must be >= 1, got {args.peaks}")
-    try:  # the study checks these too, but names its own parameters
-        for delta in deltas:
-            states._check_width("--delta", delta, 8.0)
-        states._check_width("--envelope", args.envelope, 2.0)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    # the study checks these too, but names its own parameters
+    for delta in deltas:
+        states._check_width("--delta", delta, 8.0)
+    states._check_width("--envelope", args.envelope, 2.0)
     # --out is opened only after the study has accepted every argument, so
     # that a rejected run leaves the file as it was; a missing directory
     # costs no study
     if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
         raise InputError(f"cannot write {args.out}: no such directory")
-    try:
-        rows = states.convergence_study(deltas, n_peaks=args.peaks,
-                                        envelope_width=args.envelope)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    rows = states.convergence_study(deltas, n_peaks=args.peaks,
+                                    envelope_width=args.envelope)
     header = ["delta"]
     for k in range(1, 5):
         header += [f"re_V{k}", f"im_V{k}"]
@@ -420,7 +400,10 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # so that a failed write is caught here
         return code
-    except InputError as exc:
+    except Refusal as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+        return EXIT_REFUSED
+    except ValueError as exc:  # InputError, or a library's argument check
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:

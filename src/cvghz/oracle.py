@@ -19,14 +19,14 @@ from functools import reduce
 from itertools import accumulate, combinations
 
 # perfbench/spans.py patches `cvghz.oracle.verify`; nothing here calls it.
-from .paradox import OperatorSet, verify  # noqa: F401
+from .paradox import OperatorSet, Refusal, verify  # noqa: F401
 from .weyl import LatticeParams, WeylWord, _Frozen, product
 
 DEFAULT_DIM_CEILING = 4096
 EIGEN_TOL = 1e-8  # tolerance of the eigenvector checks and of |lambda| = 1
 
 
-class DimensionCeilingError(ValueError):
+class DimensionCeilingError(Refusal):
     """Raised when the dimension d^n_parties exceeds the ceiling."""
 
     def __init__(self, dim: int, ceiling: int):

@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import sys
 from collections.abc import Iterable, Sequence
 from math import comb as binomial
 
@@ -28,14 +29,19 @@ DEFAULT_SPACE_CEILING = 2e13
 Rows = tuple[tuple[tuple[int, int], ...], ...]  # an exponent matrix
 
 
-class SearchSpaceError(ValueError):
-    """Raised when the requested enumeration is too large to exhaust."""
+class Refusal(ValueError):
+    """A request too large to run, refused before its resources are spent."""
+
+
+class SearchSpaceError(Refusal):
+    """The enumeration is too large to exhaust; `estimate` is an int or inf."""
 
     def __init__(self, estimate: float, ceiling: float):
         self.estimate = estimate
         self.ceiling = ceiling
+        shown = math.inf if estimate > sys.float_info.max else estimate
         super().__init__(
-            f"estimated enumeration size {estimate:.3g} exceeds ceiling "
+            f"estimated enumeration size {shown:.3g} exceeds ceiling "
             f"{ceiling:.3g}; tighten the bounds")
 
 
@@ -84,8 +90,7 @@ class LhvAssignment(_Frozen):
         for v in (*positions, *momenta):
             if not math.isfinite(v):
                 raise ValueError("hidden values must be finite")
-        object.__setattr__(self, "positions", positions)
-        object.__setattr__(self, "momenta", momenta)
+        super().__init__(positions, momenta)
 
 
 def column_sums(op_set: OperatorSet) -> tuple[tuple[int, int], ...]:
@@ -412,11 +417,17 @@ def search(params: LatticeParams, n_parties: int, n_operators: int,
     if n_rows == 0 or n_operators < 2:
         return []
 
-    # the DFS visits row multisets; the commutation masks cost n_rows^2
-    estimate = float(max(binomial(n_rows + n_operators - 2, n_operators - 1),
-                         n_rows ** 2))
-    if estimate > space_ceiling:
+    # The DFS visits row multisets; the commutation masks cost n_rows^2.
+    # With s = min(n_rows, n_operators) - 1 > 1024 there are at least
+    # C(2s, s) >= 2^s multisets, above every finite ceiling, and the exact
+    # count can have millions of digits.
+    estimate = math.inf if min(n_rows, n_operators) > 1025 else max(
+        binomial(n_rows + n_operators - 2, n_operators - 1), n_rows ** 2)
+    if estimate > space_ceiling:  # exact, even beyond float range
         raise SearchSpaceError(estimate, space_ceiling)
+    if n_operators > sys.getrecursionlimit() // 2:  # `_walk` nests that deep
+        raise Refusal(f"search depth {n_operators} exceeds half the "
+                      f"recursion limit, {sys.getrecursionlimit()}")
 
     found: set = set()
     _walk(_tables(d, n_parties, n_operators, pairs),

@@ -54,9 +54,7 @@ class GaussianComb(_Frozen):
         if len(centers) != len(weights):
             raise ValueError("centers and weights must have equal length")
         _check_width("delta", delta, 8.0)
-        object.__setattr__(self, "centers", centers)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "delta", delta)
+        super().__init__(centers, weights, delta)
 
 
 class ProductStateSum(_Frozen):
@@ -71,7 +69,7 @@ class ProductStateSum(_Frozen):
         n = len(terms[0][1])
         if any(len(factors) != n for _, factors in terms):
             raise ValueError("all terms must have the same party count")
-        object.__setattr__(self, "terms", terms)
+        super().__init__(terms)
 
     @property
     def n_parties(self) -> int:

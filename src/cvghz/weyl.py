@@ -24,16 +24,22 @@ class _Frozen:
     The semantics of a frozen dataclass, without the cost of importing and
     running `dataclasses` at start-up. A subclass lists its fields in
     __slots__, in order, and the shared __init__ binds positional and
-    keyword arguments to them. A subclass that checks, normalises or
-    defaults its fields sets them in its own __init__ with
-    object.__setattr__. Equal values have the same type.
+    keyword arguments to them; every method reads them from `_names`,
+    recorded once per class. A subclass that checks its fields calls the
+    shared __init__ after the checks; one that normalises or defaults them,
+    or is built in a hot loop, sets them with object.__setattr__. Equal
+    values have the same type.
     """
 
     __slots__ = ()
+    _names: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        # a subclass that adds no fields (`__slots__ = ()`) keeps its parent's
+        cls._names = cls.__slots__ or cls._names
 
     def __init__(self, *args, **kwargs):
-        # a subclass that adds no fields (`__slots__ = ()`) has its parent's
-        names = next(c.__slots__ for c in type(self).__mro__ if c.__slots__)
+        names = self._names
         rest = names[len(args):]  # the fields left to keywords
         if len(args) + len(kwargs) != len(names) \
                 or kwargs and any(name not in rest for name in kwargs):
@@ -44,7 +50,7 @@ class _Frozen:
             object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+        return tuple([getattr(self, name) for name in self._names])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -56,7 +62,7 @@ class _Frozen:
 
     def __repr__(self) -> str:
         fields = ", ".join([f"{name}={getattr(self, name)!r}"
-                            for name in self.__slots__])
+                            for name in self._names])
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):

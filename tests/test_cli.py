@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -161,6 +162,36 @@ class TestSearch:
                            "--max-space", "inf")
         assert code == 0
         assert out.startswith("2 paradox")
+
+    @pytest.mark.parametrize("argv", [
+        # 9^200 - 1 rows: the row count squared is beyond float range
+        ["--parties", "200", "--operators", "2", "--max-exp", "1"],
+        # a multiset count beyond float range
+        ["--parties", "2", "--operators", "30000", "--max-exp", "20"],
+        # one whose exact value would have millions of digits
+        ["--parties", "2", "--operators", "3000000", "--max-exp", "20"],
+    ], ids=["rows-squared", "multisets", "multisets-not-computed"])
+    def test_refusal_beyond_float_range(self, capsys, monkeypatch, argv):
+        forbid(monkeypatch, paradox, "_tables")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "search", "--dim", "2", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err == ("refused: estimated enumeration size inf exceeds "
+                       "ceiling 2e+13; tighten the bounds\n")
+
+    def test_walk_deeper_than_the_stack_refused(self, capsys, monkeypatch):
+        # _walk nests one call per operator; the default ceiling would
+        # refuse this by its size alone
+        forbid(monkeypatch, paradox, "_tables")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "search", "--parties", "1", "--dim",
+                             "2", "--operators", "1100", "--max-exp", "1",
+                             "--max-space", "1e30")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err.startswith("refused: search depth 1100 exceeds ")
+        assert err.count("\n") == 1
 
     def test_emit_files_parse_back(self, capsys, tmp_path):
         out_dir = tmp_path / "found"
@@ -582,3 +613,41 @@ def test_bad_flags_exit_two(capsys):
         code, out, _ = run(capsys, "search", "--parties", "1", "--dim", "2",
                            "--operators", "4", "--max-exp", "1", *bad)
         assert (code, out) == (2, ""), bad
+
+
+class TestExitPolicy:
+    """`main` alone maps exceptions to exit codes."""
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "--parties", "4", "--dim", "2", "--operators", "6",
+         "--max-exp", "3", "--max-space", "1000"],
+        ["oracle", "--set", "w6", "--max-dim", "512"],
+    ], ids=["search", "oracle"])
+    def test_refusal_exit_three(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("refused: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "--parties", "1", "--dim", "1", "--operators", "2",
+         "--max-exp", "1"],  # LatticeParams rejects d = 1
+        ["simulate", "--delta", "0.1,0.2"],  # the study rejects the order
+    ], ids=["search", "simulate"])
+    def test_library_value_error_exit_two(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, argv", [
+        ("verify", ["--set", "v4"]),
+        ("search", ["--parties", "1", "--dim", "2", "--operators", "2",
+                    "--max-exp", "1"]),
+        ("oracle", ["--set", "v4"]),
+        ("simulate", ["--delta", "0.2"]),
+    ])
+    def test_other_exceptions_propagate(self, monkeypatch, command, argv):
+        def broken(args):
+            raise RuntimeError("a bug")
+        monkeypatch.setattr(cli, f"cmd_{command}", broken)
+        with pytest.raises(RuntimeError, match="a bug"):
+            cli.main([command, *argv])

@@ -47,6 +47,16 @@ CASES = [
 IDS = [cls.__name__ for cls, _, _ in CASES]
 
 
+def fieldless(cls):
+    """A subclass of cls that adds no fields, at module level for pickle."""
+    sub = type(f"Fieldless{cls.__name__}", (cls,), {"__slots__": ()})
+    globals()[sub.__name__] = sub
+    return sub
+
+
+FIELDLESS = {cls: fieldless(cls) for cls, _, _ in CASES}
+
+
 @pytest.mark.parametrize("cls, values, text", CASES, ids=IDS)
 class TestFrozenValue:
     def test_positional_and_keyword_construction(self, cls, values, text):
@@ -87,6 +97,15 @@ class TestFrozenValue:
                   pickle.loads(pickle.dumps(a))):
             assert b == a and type(b) is cls
 
+    def test_fieldless_subclass_keeps_the_fields(self, cls, values, text):
+        sub = FIELDLESS[cls]
+        a = sub(*values)
+        assert a == sub(*values) and hash(a) == hash(sub(*values))
+        assert repr(a) == text.replace(cls.__name__, sub.__name__, 1)
+        for b in (copy.copy(a), copy.deepcopy(a),
+                  pickle.loads(pickle.dumps(a))):
+            assert b == a and type(b) is sub
+
 
 # the classes that bind their fields with the shared _Frozen.__init__
 SHARED_INIT = [case for case in CASES
@@ -96,6 +115,11 @@ SHARED_INIT = [case for case in CASES
 @pytest.mark.parametrize("cls, values, text", SHARED_INIT,
                          ids=[cls.__name__ for cls, _, _ in SHARED_INIT])
 class TestSharedInit:
+    def test_fieldless_subclass_compares_the_fields(self, cls, values,
+                                                    text):
+        sub = FIELDLESS[cls]
+        assert sub(*values) != sub(*(0,) * len(values))
+
     def test_mixed_positional_and_keyword(self, cls, values, text):
         _, *rest = cls.__slots__
         assert cls(values[0], **dict(zip(rest, values[1:]))) == cls(*values)
@@ -123,6 +147,8 @@ def test_defaults():
 
 def test_unequal_values():
     assert RationalPhase(1, 4) != RationalPhase(3, 4)
+    phase = FIELDLESS[RationalPhase]
+    assert phase(1, 4) != phase(3, 4)
     assert LatticeParams(2) != LatticeParams(3)
     assert WeylWord(P2, ((1, 0),)) != WeylWord(P2, ((1, 0),),
                                                 RationalPhase(1, 2))
