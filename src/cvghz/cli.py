@@ -21,6 +21,7 @@ storing lattice exponents only; every operator row has exactly `parties`
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -124,22 +125,30 @@ def load_set(spec: str | None, path: str | None) -> OperatorSet:
 _PARTY_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
+# a search renders the same few terms thousands of times
+@functools.lru_cache(maxsize=4096)
+def _party_term(unit: str, j: int, pair: tuple[int, int]) -> str:
+    """Party j's factors, e.g. 'X_A^pi Y_A^-2pi', or '' for (0, 0)."""
+    label = _PARTY_LETTERS[j % len(_PARTY_LETTERS)]
+    parts = []
+    for sym, e in zip("XY", pair):
+        if e == 0:
+            continue
+        if e == 1:
+            exp = unit
+        elif e == -1:
+            exp = f"-{unit}"
+        else:
+            exp = f"{e}{unit}"
+        parts.append(f"{sym}_{label}^{exp}")
+    return " ".join(parts)
+
+
 def render_word(word: WeylWord) -> str:
     """Human-readable rendering, e.g. X_A^pi Y_B^-pi for d=2."""
     unit = {2: "pi", 4: "q"}.get(word.params.d, "a0")
-    parts = []
-    for j, (m, n) in enumerate(word.exponents):
-        label = _PARTY_LETTERS[j % len(_PARTY_LETTERS)]
-        for sym, e in (("X", m), ("Y", n)):
-            if e == 0:
-                continue
-            if e == 1:
-                exp = unit
-            elif e == -1:
-                exp = f"-{unit}"
-            else:
-                exp = f"{e}{unit}"
-            parts.append(f"{sym}_{label}^{exp}")
+    parts = [term for j, pair in enumerate(word.exponents)
+             if (term := _party_term(unit, j, pair))]
     if not word.phase.is_zero:
         parts.insert(0, f"e^(2*pi*i*{word.phase})")
     return " ".join(parts) if parts else "I"

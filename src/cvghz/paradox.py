@@ -190,7 +190,8 @@ def builtin(name: str) -> OperatorSet:
 # ---------------------------------------------------------------------------
 # Canonicalization and search
 
-def canonical_rows(rows: Iterable[tuple[tuple[int, int], ...]]) -> Rows:
+def canonical_rows(rows: Iterable[tuple[tuple[int, int], ...]],
+                   _memo: dict | None = None) -> Rows:
     """Lexicographically minimal representative of the exponent matrix.
 
     Quotient group: party relabeling, operator reordering, and joint
@@ -202,31 +203,47 @@ def canonical_rows(rows: Iterable[tuple[tuple[int, int], ...]]) -> Rows:
     relabelings that map some row onto R0 are tried: parties move only
     among positions of R0 holding their folded entry, and a party's sign
     is free only where that row's entry is (0, 0).
+
+    That per-row work depends on the row alone; `search` passes one
+    `_memo` dict per search so that it is done once per distinct row.
     """
     rows = tuple(rows)
     if not rows:
         return ()
-    neg_rows = [tuple([(-m, -n) for m, n in row]) for row in rows]
-    # cols[s][p]: party p's entries down the rows, negated when s is 1
-    cols = (list(zip(*rows)), list(zip(*neg_rows)))
-    folded = [list(map(min, row, neg)) for row, neg in zip(rows, neg_rows)]
-    keys = [sorted(f) for f in folded]
-    r0 = min(keys)
+    memo = {} if _memo is None else _memo
+    # per row: [negation, sorted folded key, relabelings onto the key]
+    infos = []
+    for row in rows:
+        info = memo.get(row)
+        if info is None:
+            neg = tuple([(-m, -n) for m, n in row])
+            info = memo[row] = [neg, sorted(map(min, row, neg)), None]
+        infos.append(info)
+    r0 = min([info[1] for info in infos])
+    n = len(rows[0])
+    # cols[p] is party p's entries down the rows, cols[n + p] their negation
+    cols = list(zip(*rows)) + list(zip(*[info[0] for info in infos]))
     best = None
     # one start per distinct row that reaches R0; equal rows give equal specs
-    for i in {rows[i]: i for i, key in enumerate(keys) if key == r0}.values():
-        blocks: dict = {}
-        for p, f in enumerate(folded[i]):
-            blocks.setdefault(f, []).append(p)
-        signs = [(0, 1) if e == (0, 0) else (e != f,)
-                 for e, f in zip(rows[i], folded[i])]
-        for perm in itertools.product(*[itertools.permutations(blocks[f])
-                                        for f in sorted(blocks)]):
-            order = [p for block in perm for p in block]
-            for sign in itertools.product(*[signs[p] for p in order]):
-                cand = sorted(zip(*[cols[s][p] for p, s in zip(order, sign)]))
-                if best is None or cand < best:
-                    best = cand
+    for row, info in {row: info for row, info in zip(rows, infos)
+                      if info[1] == r0}.items():
+        if info[2] is None:  # the relabelings, as index lists into cols
+            folded = list(map(min, row, info[0]))
+            blocks: dict = {}
+            for p, f in enumerate(folded):
+                blocks.setdefault(f, []).append(p)
+            signs = [(0, n) if e == (0, 0) else ((e != f) * n,)
+                     for e, f in zip(row, folded)]
+            info[2] = []
+            for perm in itertools.product(*[itertools.permutations(blocks[f])
+                                            for f in sorted(blocks)]):
+                order = [p for block in perm for p in block]
+                info[2] += itertools.product(*[[p + s for s in signs[p]]
+                                               for p in order])
+        for picks in info[2]:
+            cand = sorted(zip(*map(cols.__getitem__, picks)))
+            if best is None or cand < best:
+                best = cand
     return tuple(best)
 
 
@@ -239,13 +256,13 @@ def canonicalize(op_set: OperatorSet) -> OperatorSet:
 class _SearchTables(_Frozen):
     """The tables of one search, as `_tables` builds them for `_walk`."""
 
-    __slots__ = ("d", "n_operators", "rows", "first_rows", "flat", "weights",
-                 "code", "code_index", "comm", "lo", "hi")
+    __slots__ = ("d", "n_operators", "rows", "first_rows", "code",
+                 "code_index", "comm", "exact")
 
 
 def _tables(d: int, n_parties: int, n_operators: int,
             pairs: Sequence[tuple[int, int]]) -> _SearchTables:
-    """Rows, codes, commutation masks and windows over distinct `pairs`.
+    """Rows, codes, commutation masks and per-party masks over `pairs`.
 
     First-row rule (orderly generation): party permutations keep a row
     multiset inside the alphabet, and so do per-party sign flips when the
@@ -258,10 +275,12 @@ def _tables(d: int, n_parties: int, n_operators: int,
     tuple, so key(row) <= row, every other row with key r sorts after r,
     and "index >= r's" is exactly "key >= r".
 
-    Commutation masks are built party by party: symplectic(a, b) is the sum
-    of the one-party forms symplectic((a_t,), (b_t,)), so for each residue
-    class the rows whose partial form is s mod d are folded over the parties
-    from one bitmask per (party, pair mod d).
+    `exact[t][e]` is the bitmask of the rows whose party-t entry is e;
+    `_walk` builds its window masks from them. Commutation masks are built
+    party by party: symplectic(a, b) is the sum of the one-party forms
+    symplectic((a_t,), (b_t,)), so for each residue class the rows whose
+    partial form is s mod d are folded over the parties from one bitmask
+    per (party, pair mod d), itself folded from the exact masks.
     """
     zero_row = ((0, 0),) * n_parties
     closed = {(-m, -n) for m, n in pairs} == set(pairs)
@@ -273,14 +292,19 @@ def _tables(d: int, n_parties: int, n_operators: int,
     rows = [row for _, row in keyed]
     first_rows = sum(1 << i for i, (key, row) in enumerate(keyed)
                      if key == row)
-    flat = [tuple(v for pair in row for v in pair) for row in rows]
     # Balanced mixed-radix code of a flat exponent vector: linear, and
     # injective on vectors with every entry in [-span, span], which covers
     # every partial column sum of up to n_operators rows.
     span = n_operators * max(abs(v) for pair in pairs for v in pair)
     weights = [(2 * span + 1) ** c for c in range(2 * n_parties)]
-    code = [sum(map(int.__mul__, f, weights)) for f in flat]
+    code = [sum(map(int.__mul__, [v for pair in row for v in pair], weights))
+            for row in rows]
     code_index = {c: i for i, c in enumerate(code)}
+
+    exact = [dict.fromkeys(pairs, 0) for _ in range(n_parties)]
+    for i, row in enumerate(rows):
+        for held, e in zip(exact, row):
+            held[e] |= 1 << i
 
     # Commutation bitmasks: bit j of comm[i] set iff rows i and j commute.
     # The one-party form mod d depends only on the pairs mod d, so the
@@ -291,15 +315,14 @@ def _tables(d: int, n_parties: int, n_operators: int,
     # whose form with row i over the parties so far is s mod d. That
     # depends only on row i mod d, so it is done once per residue class.
     residue_pairs = sorted({(m % d, n % d) for m, n in pairs})
-    holds = [dict.fromkeys(residue_pairs, 0) for _ in range(n_parties)]
-    for i, row in enumerate(rows):
-        for t, (m, n) in enumerate(row):
-            holds[t][m % d, n % d] |= 1 << i
     forms = []
-    for held in holds:
+    for held in exact:
+        by_residue = dict.fromkeys(residue_pairs, 0)
+        for (m, n), bits in held.items():
+            by_residue[m % d, n % d] |= bits
         table = {a: [0] * d for a in residue_pairs}
         for a, b in itertools.product(residue_pairs, repeat=2):
-            table[a][symplectic((a,), (b,)) % d] |= held[b]
+            table[a][symplectic((a,), (b,)) % d] |= by_residue[b]
         forms.append(table)
     class_comm: dict = {}
     comm = []
@@ -315,12 +338,8 @@ def _tables(d: int, n_parties: int, n_operators: int,
                            for s in (range(d) if t < n_parties - 1 else (0,))]
             class_comm[residues] = partial[0]
         comm.append(class_comm[residues])
-
-    # Per-column bounds of a single row's contribution, for sum pruning.
-    lo = [min(f[c] for f in flat) for c in range(2 * n_parties)]
-    hi = [max(f[c] for f in flat) for c in range(2 * n_parties)]
-    return _SearchTables(d, n_operators, rows, first_rows, flat, weights,
-                         code, code_index, comm, lo, hi)
+    return _SearchTables(d, n_operators, rows, first_rows, code, code_index,
+                         comm, exact)
 
 
 def _walk(tables: _SearchTables, visit) -> None:
@@ -328,60 +347,91 @@ def _walk(tables: _SearchTables, visit) -> None:
 
     A DFS over sorted row multisets: it starts only from `first_rows` and
     never steps to a smaller index. Commutation is pruned incrementally
-    through the masks, and each partial column sum must stay inside the
-    window that the remaining rows can still cancel. The last row is forced
-    by the zero-column-sum condition and found by its code.
-    """
-    (d, n_operators, rows, first_rows, flat, weights, code, code_index,
-     comm, lo, hi) = tables._fields()
-    k_free = n_operators - 1  # last row is forced by the column sums
+    through the masks. Before a node loops, its mask is ANDed with one
+    window mask per party, cached per (rows left, party, partial sum s):
+    the rows whose party-t entry e leaves -(s + e) a sum of as many party-t
+    entries as there are rows left after this one. At the last free level
+    that sum is a single entry, so every candidate there has its forced
+    last row inside the alphabet, and the code lookup rejects only the
+    identity row.
 
-    def extend(depth: int, mask: int, cands: int,
-               sums: tuple[int, ...]) -> None:
-        # try each row of mask at this depth; later rows come from cands
-        if depth == k_free - 1:
-            # last free row: the completion is forced, so skip the window
-            # check (the lookup rejects out-of-alphabet completions) and
-            # touch the candidate mask only on a hit
-            target = -sum(map(int.__mul__, sums, weights))
+    The product phase, -sum over i < j of crossing(row_i, row_j) / d,
+    equals -sum over j of crossing(S_j, row_j) / d with S_j the column sums
+    of the rows before j. The DFS carries that sum with the column sums,
+    so a completion costs two `crossing` calls.
+    """
+    (d, n_operators, rows, first_rows, code, code_index, comm,
+     exact) = tables._fields()
+    # Sums of party-t entries as bitmasks. c(m, n) = m * width + n is
+    # linear, and injective on [-span, span]^2 with span = n_operators *
+    # the largest |coordinate|, which holds every sum of up to n_operators
+    # entries. reach[t][r] has bit c(v) - r * c0[t] set for each sum v of r
+    # party-t entries, with c0[t] the least code of an entry.
+    width = 2 * n_operators * max(abs(v) for held in exact
+                                  for e in held for v in e) + 1
+    codes = [[m * width + n for m, n in held] for held in exact]
+    c0 = [min(c) for c in codes]
+    reach = [[1] for _ in exact]
+    windows = [[{} for _ in exact] for _ in range(n_operators)]
+
+    def window(t: int, left: int, s: tuple[int, int]) -> int:
+        sums = reach[t]
+        while len(sums) <= left:
+            acc = 0
+            for c in codes[t]:
+                acc |= sums[-1] << c - c0[t]
+            sums.append(acc)
+        # bit of -(s + e), for each entry e of party t; the sets for
+        # distinct entries are disjoint, so + is |
+        base = -s[0] * width - s[1] - left * c0[t]
+        return sum([bits for c, bits in zip(codes[t], exact[t].values())
+                    if c <= base and sums[left] >> base - c & 1])
+
+    def extend(left: int, mask: int, cands: int, sums: tuple,
+               scode: int, phase: int) -> None:
+        # try each row of mask with `left` rows to place after it; later
+        # rows come from cands. sums: the stack's column sums as pairs,
+        # scode: their code, phase: the carried crossing sum
+        for t, (cache, s) in enumerate(zip(windows[left], sums)):
+            bits = cache.get(s)
+            if bits is None:
+                bits = cache[s] = window(t, left, s)
+            mask &= bits
+        if left == 1:
+            # last free row: the completion is forced, and found by its code
             while mask:
                 lsb = mask & -mask
                 i = lsb.bit_length() - 1
                 mask ^= lsb
-                fi = code_index.get(target - code[i])
+                fi = code_index.get(-scode - code[i])
                 if fi is not None and fi >= i \
                         and (cands & comm[i]) >> fi & 1:
                     # Commutation and zero column sums hold by construction;
-                    # only the product phase, -sum over i < j of
-                    # crossing(row_i, row_j) / d, decides paradox-hood here.
-                    # Swapping two rows changes that sum by their symplectic
-                    # form, 0 mod d for commuting rows, so the phase mod d
-                    # does not depend on the order the DFS chose.
-                    hit = [rows[j] for j in _stack] + [rows[i], rows[fi]]
-                    if sum(crossing(a, b)
-                           for a, b in itertools.combinations(hit, 2)) % d:
-                        visit(hit)
+                    # only the product phase decides paradox-hood here. The
+                    # sums before fi are -rows[fi]. Swapping two rows
+                    # changes the phase by their symplectic form, 0 mod d
+                    # for commuting rows, so the phase mod d does not
+                    # depend on the order the DFS chose.
+                    if (phase + crossing(sums, rows[i])
+                            - crossing(rows[fi], rows[fi])) % d:
+                        visit([rows[j] for j in _stack] + [rows[i], rows[fi]])
             return
-        remaining = n_operators - depth - 1  # rows still to place after this one
-        # future rows keep column c's reachable window in [-r*hi, -r*lo]
-        win_lo = [-remaining * h for h in hi]
-        win_hi = [-remaining * l for l in lo]
         while mask:
             lsb = mask & -mask
             i = lsb.bit_length() - 1
             mask ^= lsb
-            new_sums = tuple(map(int.__add__, sums, flat[i]))
-            for s, wl, wh in zip(new_sums, win_lo, win_hi):
-                if s < wl or s > wh:
-                    break
-            else:
-                _stack.append(i)
-                child = (cands & comm[i]) >> i << i  # index >= i
-                extend(depth + 1, child, child, new_sums)
-                _stack.pop()
+            row = rows[i]
+            _stack.append(i)
+            child = (cands & comm[i]) >> i << i  # index >= i
+            extend(left - 1, child, child,
+                   tuple([(sm + m, sn + n)
+                          for (sm, sn), (m, n) in zip(sums, row)]),
+                   scode + code[i], phase + crossing(sums, row))
+            _stack.pop()
 
     _stack: list[int] = []
-    extend(0, first_rows, (1 << len(rows)) - 1, (0,) * len(weights))
+    extend(n_operators - 1, first_rows, (1 << len(rows)) - 1,
+           ((0, 0),) * len(exact), 0, 0)
 
 
 def search(params: LatticeParams, n_parties: int, n_operators: int,
@@ -403,7 +453,6 @@ def search(params: LatticeParams, n_parties: int, n_operators: int,
         raise ValueError("n_operators and n_parties must be >= 1")
     if math.isnan(space_ceiling):
         raise ValueError("space_ceiling must not be NaN")
-    d = params.d
     if allowed_pairs is None:
         r = range(-max_exponent, max_exponent + 1)
         allowed_pairs = itertools.product(r, repeat=2)
@@ -412,9 +461,17 @@ def search(params: LatticeParams, n_parties: int, n_operators: int,
         if max(abs(m), abs(n)) > max_exponent:
             raise ValueError(f"allowed pair {(m, n)} exceeds max_exponent")
 
+    if n_operators < 2:
+        return []
+    # More than 2^520 rows square to beyond float range, so every finite
+    # ceiling refuses them: decide that before the power, which has
+    # millions of digits for a huge n_parties.
+    if len(pairs) > 1 and space_ceiling < math.inf \
+            and n_parties > 521 / math.log2(len(pairs)):
+        raise SearchSpaceError(math.inf, space_ceiling)
     # every choice of one pair per party except the identity row
     n_rows = len(pairs) ** n_parties - ((0, 0) in pairs)
-    if n_rows == 0 or n_operators < 2:
+    if n_rows == 0:
         return []
 
     # The DFS visits row multisets; the commutation masks cost n_rows^2.
@@ -430,6 +487,7 @@ def search(params: LatticeParams, n_parties: int, n_operators: int,
                       f"recursion limit, {sys.getrecursionlimit()}")
 
     found: set = set()
-    _walk(_tables(d, n_parties, n_operators, pairs),
-          lambda hit: found.add(canonical_rows(hit)))
-    return [set_from_rows(d, key) for key in sorted(found)]
+    memo: dict = {}  # canonical_rows' per-row work, shared by the hits
+    _walk(_tables(params.d, n_parties, n_operators, pairs),
+          lambda hit: found.add(canonical_rows(hit, memo)))
+    return [OperatorSet(params, key) for key in sorted(found)]

@@ -170,7 +170,10 @@ class TestSearch:
         ["--parties", "2", "--operators", "30000", "--max-exp", "20"],
         # one whose exact value would have millions of digits
         ["--parties", "2", "--operators", "3000000", "--max-exp", "20"],
-    ], ids=["rows-squared", "multisets", "multisets-not-computed"])
+        # 9^3000000 - 1 rows: a row count with millions of digits
+        ["--parties", "3000000", "--operators", "2", "--max-exp", "1"],
+    ], ids=["rows-squared", "multisets", "multisets-not-computed",
+            "rows-not-computed"])
     def test_refusal_beyond_float_range(self, capsys, monkeypatch, argv):
         forbid(monkeypatch, paradox, "_tables")
         start = time.perf_counter()

@@ -221,6 +221,14 @@ class TestCanonicalization:
         flipped = [((-r[0][0], -r[0][1]), r[1], r[2]) for r in rows]
         assert canonical_rows(rows) == canonical_rows(flipped)
 
+    def test_shared_memo_gives_the_same_forms(self):
+        # `search` shares one memo between all its hits
+        hits = []
+        paradox._walk(paradox._tables(4, 3, 4, UNIT_PAIRS), hits.append)
+        memo = {}
+        assert [canonical_rows(rows, memo) for rows in hits] \
+            == [canonical_rows(rows) for rows in hits]
+
     def test_preserves_paradox(self):
         assert verify(canonicalize(builtin("v4"))).is_paradox
 
@@ -477,6 +485,14 @@ class TestOrbitCount:
         assert orbit_sum(found, pairs) \
             == raw_count(d, n_parties, n_operators, pairs)
 
+    def test_non_closed_alphabet_beyond_the_unit_box(self):
+        # entries of size 2 and no negation closure: the sums of entries
+        # fill only part of their bounding box
+        pairs = [(1, 0), (-1, 0), (0, 1), (0, -1), (2, 1), (1, 2)]
+        found = search(LatticeParams(2), 3, 4, 2, allowed_pairs=pairs)
+        assert len(found) == 88
+        assert orbit_sum(found, pairs) == raw_count(2, 3, 4, pairs) == 1024
+
     @pytest.mark.slow
     def test_acceptance_search(self):
         classes = search(LatticeParams(2), 3, 4, 1)
@@ -492,7 +508,6 @@ def test_search_snapshot_d3():
         assert verify(s).is_paradox
 
 
-@pytest.mark.slow
 def test_search_rediscovers_w6_pattern():
     # restricted to the five-party pattern's alphabet, the exhaustive
     # search must rediscover the built-in six-operator class
@@ -503,5 +518,5 @@ def test_search_rediscovers_w6_pattern():
     assert target.rows in {s.rows for s in results}
     for s in results:
         assert verify(s).is_paradox
-    # the raw walk that gives R = 2,048 takes minutes, so R is pinned
+    # the raw walk that gives R = 2,048 takes about 13 s, so R is pinned
     assert orbit_sum(results, pairs) == 2048
