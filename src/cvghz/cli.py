@@ -21,7 +21,6 @@ storing lattice exponents only; every operator row has exactly `parties`
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import os
@@ -125,33 +124,43 @@ def load_set(spec: str | None, path: str | None) -> OperatorSet:
 _PARTY_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
-# a search renders the same few terms thousands of times
-@functools.lru_cache(maxsize=4096)
-def _party_term(unit: str, j: int, pair: tuple[int, int]) -> str:
-    """Party j's factors, e.g. 'X_A^pi Y_A^-2pi', or '' for (0, 0)."""
-    label = _PARTY_LETTERS[j % len(_PARTY_LETTERS)]
-    parts = []
-    for sym, e in zip("XY", pair):
-        if e == 0:
-            continue
-        if e == 1:
-            exp = unit
-        elif e == -1:
-            exp = f"-{unit}"
-        else:
-            exp = f"{e}{unit}"
-        parts.append(f"{sym}_{label}^{exp}")
-    return " ".join(parts)
+def _terms(d: int, exponents) -> list[str]:
+    """An exponent row's factors on lattice d, e.g. ['X_A^pi', 'Y_B^-2pi']."""
+    unit = {2: "pi", 4: "q"}.get(d, "a0")
+    terms = []
+    for j, pair in enumerate(exponents):
+        label = _PARTY_LETTERS[j % len(_PARTY_LETTERS)]
+        for sym, e in zip("XY", pair):
+            if e:
+                coeff = {1: "", -1: "-"}.get(e, str(e))
+                terms.append(f"{sym}_{label}^{coeff}{unit}")
+    return terms
 
 
 def render_word(word: WeylWord) -> str:
     """Human-readable rendering, e.g. X_A^pi Y_B^-pi for d=2."""
-    unit = {2: "pi", 4: "q"}.get(word.params.d, "a0")
-    parts = [term for j, pair in enumerate(word.exponents)
-             if (term := _party_term(unit, j, pair))]
+    parts = _terms(word.params.d, word.exponents)
     if not word.phase.is_zero:
         parts.insert(0, f"e^(2*pi*i*{word.phase})")
     return " ".join(parts) if parts else "I"
+
+
+_PIPE_BUF = 4096  # POSIX: a pipe write of at most this size is atomic
+
+
+def _write_blocks(chunks, out) -> None:
+    """Write ASCII chunks to `out` in blocks of at most PIPE_BUF bytes.
+
+    Under PYTHONUNBUFFERED, stdout's text layer drops the rest of a short
+    write, as a pipe whose reader leaves can make of a larger one.
+    """
+    block = ""
+    for chunk in chunks:
+        block += chunk
+        while len(block) >= _PIPE_BUF:
+            out.write(block[:_PIPE_BUF])
+            block = block[_PIPE_BUF:]
+    out.write(block)
 
 
 def report_to_dict(op_set: OperatorSet,
@@ -233,12 +242,21 @@ def cmd_search(args) -> int:
                     fh.write("\n")
             except OSError as exc:
                 raise InputError(f"cannot write {path}: {exc}") from None
-    print(f"{len(results)} paradox class(es) found")
-    for i, op_set in enumerate(results):
-        print(f"-- class {i}:")
-        for w in op_set.operators:
-            print(f"   {render_word(w)}")
+    _write_blocks(_listing(args.dim, results), sys.stdout)
     return EXIT_OK if results else EXIT_NEGATIVE
+
+
+def _listing(d: int, results: list[OperatorSet]):
+    """The search listing's lines, each distinct row rendered once."""
+    yield f"{len(results)} paradox class(es) found\n"
+    lines: dict = {}
+    for i, op_set in enumerate(results):
+        yield f"-- class {i}:\n"
+        for row in op_set.rows:
+            line = lines.get(row)
+            if line is None:
+                line = lines[row] = f"   {' '.join(_terms(d, row)) or 'I'}\n"
+            yield line
 
 
 def cmd_oracle(args) -> int:

@@ -211,24 +211,29 @@ def canonical_rows(rows: Iterable[tuple[tuple[int, int], ...]],
     if not rows:
         return ()
     memo = {} if _memo is None else _memo
-    # per row: [negation, sorted folded key, relabelings onto the key]
+    # per row: [row + its negation, sorted folded key, relabelings onto
+    # the key]
     infos = []
     for row in rows:
         info = memo.get(row)
         if info is None:
             neg = tuple([(-m, -n) for m, n in row])
-            info = memo[row] = [neg, sorted(map(min, row, neg)), None]
+            info = memo[row] = [row + neg, sorted(map(min, row, neg)), None]
         infos.append(info)
     r0 = min([info[1] for info in infos])
     n = len(rows[0])
     # cols[p] is party p's entries down the rows, cols[n + p] their negation
-    cols = list(zip(*rows)) + list(zip(*[info[0] for info in infos]))
-    best = None
-    # one start per distinct row that reaches R0; equal rows give equal specs
-    for row, info in {row: info for row, info in zip(rows, infos)
-                      if info[1] == r0}.items():
+    cols = list(zip(*[info[0] for info in infos]))
+    best = start = None
+    for info in infos:
+        # one start per row that reaches R0; a repeat of the last start
+        # (equal rows share an entry) adds no candidates
+        if info is start or info[1] != r0:
+            continue
+        start = info
         if info[2] is None:  # the relabelings, as index lists into cols
-            folded = list(map(min, row, info[0]))
+            row = info[0][:n]
+            folded = list(map(min, row, info[0][n:]))
             blocks: dict = {}
             for p, f in enumerate(folded):
                 blocks.setdefault(f, []).append(p)
@@ -278,7 +283,7 @@ def _tables(d: int, n_parties: int, n_operators: int,
     `exact[t][e]` is the bitmask of the rows whose party-t entry is e;
     `_walk` builds its window masks from them. Commutation masks are built
     party by party: symplectic(a, b) is the sum of the one-party forms
-    symplectic((a_t,), (b_t,)), so for each residue class the rows whose
+    symplectic((a_t,), (b_t,)), so for each residue prefix the rows whose
     partial form is s mod d are folded over the parties from one bitmask
     per (party, pair mod d), itself folded from the exact masks.
     """
@@ -313,7 +318,9 @@ def _tables(d: int, n_parties: int, n_operators: int,
     # forms[t][a][v]: rows whose party-t pair b has symplectic((a,), (b,))
     # = v mod d. Folding them over the parties tracks, for each s, the rows
     # whose form with row i over the parties so far is s mod d. That
-    # depends only on row i mod d, so it is done once per residue class.
+    # depends only on row i's residues over those parties, so the classes
+    # are folded in sorted order, reusing the previous class's folds of
+    # their shared prefix.
     residue_pairs = sorted({(m % d, n % d) for m, n in pairs})
     forms = []
     for held in exact:
@@ -324,20 +331,26 @@ def _tables(d: int, n_parties: int, n_operators: int,
         for a, b in itertools.product(residue_pairs, repeat=2):
             table[a][symplectic((a,), (b,)) % d] |= by_residue[b]
         forms.append(table)
-    class_comm: dict = {}
-    comm = []
-    for row in rows:
-        residues = tuple((m % d, n % d) for m, n in row)
-        if residues not in class_comm:
-            partial = forms[0][residues[0]]
-            for t in range(1, n_parties):
-                by_value = forms[t][residues[t]]
-                # the sets for distinct v are disjoint, so + is |
-                partial = [sum(partial[(s - v) % d] & by_value[v]
-                               for v in range(d))
-                           for s in (range(d) if t < n_parties - 1 else (0,))]
-            class_comm[residues] = partial[0]
-        comm.append(class_comm[residues])
+    # residue class -> itself, shared by its rows; then -> its mask
+    classes: dict = {}
+    residues = [classes.setdefault(key, key) for key in (
+        tuple([(m % d, n % d) for m, n in row]) for row in rows)]
+    folds: list = []  # folds[t]: over parties 0..t of the last class
+    last = ()
+    for cls in sorted(classes):
+        t = 0
+        while t < len(folds) and cls[t] == last[t]:
+            t += 1
+        del folds[t:]
+        for t in range(t, n_parties):
+            by_value = forms[t][cls[t]]
+            # the sets for distinct v are disjoint, so + is |
+            folds.append(by_value if t == 0 else [
+                sum(folds[-1][(s - v) % d] & by_value[v] for v in range(d))
+                for s in (range(d) if t < n_parties - 1 else (0,))])
+        classes[cls] = folds[-1][0]
+        last = cls
+    comm = list(map(classes.__getitem__, residues))
     return _SearchTables(d, n_operators, rows, first_rows, code, code_index,
                          comm, exact)
 
@@ -351,9 +364,10 @@ def _walk(tables: _SearchTables, visit) -> None:
     window mask per party, cached per (rows left, party, partial sum s):
     the rows whose party-t entry e leaves -(s + e) a sum of as many party-t
     entries as there are rows left after this one. At the last free level
-    that sum is a single entry, so every candidate there has its forced
-    last row inside the alphabet, and the code lookup rejects only the
-    identity row.
+    that sum is a single entry, so the window keeps exactly the candidates
+    whose forced last row is inside the alphabet. A window only prunes what
+    the code lookup rejects anyway, so a node with fewer candidates than
+    the window's build steps skips it on the key's first sight.
 
     The product phase, -sum over i < j of crossing(row_i, row_j) / d,
     equals -sum over j of crossing(S_j, row_j) / d with S_j the column sums
@@ -395,6 +409,11 @@ def _walk(tables: _SearchTables, visit) -> None:
         for t, (cache, s) in enumerate(zip(windows[left], sums)):
             bits = cache.get(s)
             if bits is None:
+                # a build is a step per party-t entry: not worth it for
+                # fewer candidates on the key's first sight (marked None)
+                if s not in cache and mask.bit_count() < len(codes[t]):
+                    cache[s] = None
+                    continue
                 bits = cache[s] = window(t, left, s)
             mask &= bits
         if left == 1:

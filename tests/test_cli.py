@@ -438,6 +438,21 @@ needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"),
                                     reason="needs /dev/full")
 
 
+ACCEPTANCE_6 = ["search", "--parties", "3", "--dim", "2", "--operators", "4",
+                "--max-exp", "1"]
+
+# stdout is a buffered writer without PYTHONUNBUFFERED and a raw file with it
+UNBUFFERED = [None, "1"]
+
+
+def stdout_env(unbuffered: str | None) -> dict:
+    env = cvghz_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered is not None:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    return env
+
+
 class TestStdoutFailure:
     """An output that cannot be written exits 2 with one stderr line."""
 
@@ -460,17 +475,50 @@ class TestStdoutFailure:
         # as `| head -1`: the output (2,758 classes) is far larger than
         # the pipe's buffer, so the search is still writing when the
         # reader goes away
-        proc = subprocess.Popen(
-            CVGHZ + ["search", "--parties", "3", "--dim", "2",
-                     "--operators", "4", "--max-exp", "1"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cvghz_env())
-        assert proc.stdout.readline() == b"2758 paradox class(es) found\n"
-        proc.stdout.close()
-        err = proc.stderr.read()
-        proc.stderr.close()
-        assert proc.wait() == 2
-        assert err == b"input error: cannot write stdout: [Errno 32] " \
-                      b"Broken pipe\n"
+        for unbuffered in UNBUFFERED:
+            proc = subprocess.Popen(
+                CVGHZ + ACCEPTANCE_6, stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE, env=stdout_env(unbuffered))
+            assert proc.stdout.readline() == b"2758 paradox class(es) found\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            proc.stderr.close()
+            assert (unbuffered, proc.wait()) == (unbuffered, 2)
+            assert err == b"input error: cannot write stdout: [Errno 32] " \
+                          b"Broken pipe\n"
+
+    def test_full_listing_through_a_pipe(self, capsys):
+        # 381,035 bytes, read to the end: the same bytes as in-process
+        code, want, _ = run(capsys, *ACCEPTANCE_6)
+        assert (code, len(want)) == (0, 381035)
+        for unbuffered in UNBUFFERED:
+            proc = subprocess.run(CVGHZ + ACCEPTANCE_6, capture_output=True,
+                                  env=stdout_env(unbuffered))
+            assert (unbuffered, proc.returncode, proc.stderr) \
+                == (unbuffered, 0, b"")
+            assert proc.stdout == want.encode()
+
+    def test_search_writes_whole_pipe_blocks(self, monkeypatch):
+        # a pipe write of at most PIPE_BUF (4,096) bytes is never cut short
+        class Recorder:
+            def __init__(self):
+                self.writes = []
+
+            def write(self, text):
+                self.writes.append(text)
+
+            def flush(self):
+                pass
+
+        out = Recorder()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert cli.main(["search", "--parties", "3", "--dim", "2",
+                         "--operators", "3", "--max-exp", "1"]) == 0
+        monkeypatch.undo()
+        text = "".join(out.writes)
+        assert text.startswith("127 paradox class(es) found\n-- class 0:\n")
+        assert len(text) == 12589
+        assert max(map(len, out.writes)) == 4096
 
     @needs_dev_full
     def test_out_file_failure_names_the_file(self, capsys):

@@ -500,6 +500,52 @@ class TestOrbitCount:
             == raw_count(2, 3, 4, UNIT_PAIRS) == 106824
 
 
+def walk_hits(d, n_parties, n_operators, pairs):
+    """The hits of the search's own walk, each as a sorted multiset."""
+    tables = paradox._tables(d, n_parties, n_operators,
+                             sorted(set(map(tuple, pairs))))
+    hits = set()
+    paradox._walk(tables, lambda rows: hits.add(tuple(sorted(rows))))
+    return hits
+
+
+def negation_closure(case):
+    d, n_parties, n_operators, pairs = case
+    return d, n_parties, n_operators, sorted(
+        set(pairs) | {(-m, -n) for m, n in pairs})
+
+
+class TestCanonicalFormsAreHits:
+    """On an alphabet closed under negation, every class's canonical form
+    C, as a sorted multiset, is one of the walk's hits.
+
+    Proof: the relabelings keep the alphabet and paradox-hood, so C is a
+    paradox row multiset over the alphabet. Its least row R0 is the least
+    key of its rows, and key(R0) = R0, so R0 is a first row. Every other
+    row r of C has key(r) >= R0, so its index is at least R0's. That is the
+    first-row form in which `_walk` visits every paradox multiset.
+    """
+
+    @pytest.mark.parametrize("d,classes,hits", [
+        (3, 1910, 3325),  # the d=3 snapshot
+        (4, 1562, 2761),  # the d=4 benchmark search
+    ])
+    def test_unit_box(self, d, classes, hits):
+        found = search(LatticeParams(d), 3, 4, 1)
+        walked = walk_hits(d, 3, 4, UNIT_PAIRS)
+        assert (len(found), len(walked)) == (classes, hits)
+        assert {s.rows for s in found} <= walked
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_searches().map(negation_closure))
+    def test_closed_sub_alphabets(self, case):
+        d, n_parties, n_operators, pairs = case
+        found = search(LatticeParams(d), n_parties, n_operators, 1,
+                       allowed_pairs=pairs)
+        assert {s.rows for s in found} \
+            <= walk_hits(d, n_parties, n_operators, pairs)
+
+
 def test_search_snapshot_d3():
     # frozen regression count for the exhaustive d=3 enumeration
     results = search(LatticeParams(3), 3, 4, 1)
