@@ -7,16 +7,15 @@ command-line front end (`cli`).
 """
 
 from .weyl import (LatticeParams, RationalPhase, WeylWord, commutation_phase,
-                   dagger, identity_word, is_scalar, make_generator, multiply,
-                   product)
+                   dagger, identity_word, is_scalar, multiply, product)
 from .paradox import (LhvAssignment, OperatorSet, ParadoxReport, Refusal,
                       SearchSpaceError, builtin, canonicalize, lhv_value,
                       search, set_from_rows, verify)
 
 __all__ = [
     "LatticeParams", "RationalPhase", "WeylWord", "commutation_phase",
-    "dagger", "identity_word", "is_scalar", "make_generator", "multiply",
-    "product", "LhvAssignment", "OperatorSet", "ParadoxReport", "Refusal",
+    "dagger", "identity_word", "is_scalar", "multiply", "product",
+    "LhvAssignment", "OperatorSet", "ParadoxReport", "Refusal",
     "SearchSpaceError", "builtin", "canonicalize", "lhv_value", "search",
     "set_from_rows", "verify",
 ]

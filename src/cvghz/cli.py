@@ -99,6 +99,15 @@ def set_from_dict(data: dict) -> OperatorSet:
     return paradox.set_from_rows(d, ops, name=name)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict; a repeated key is an input error."""
+    keys = [key for key, _ in pairs]
+    for key in keys:
+        if keys.count(key) > 1:
+            raise InputError(f"duplicate key {key!r}")
+    return dict(pairs)
+
+
 def load_set(spec: str | None, path: str | None) -> OperatorSet:
     if (spec is None) == (path is None):
         raise InputError("give exactly one of --set or --file")
@@ -109,7 +118,7 @@ def load_set(spec: str | None, path: str | None) -> OperatorSet:
             raise InputError(str(exc)) from None
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -124,12 +133,21 @@ def load_set(spec: str | None, path: str | None) -> OperatorSet:
 _PARTY_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
+def _party_label(j: int) -> str:
+    """A to Z for parties 0-25, then AA, AB, .., ZZ, AAA: bijective base 26."""
+    label = _PARTY_LETTERS[j % 26]
+    while j >= 26:
+        j = j // 26 - 1
+        label = _PARTY_LETTERS[j % 26] + label
+    return label
+
+
 def _terms(d: int, exponents) -> list[str]:
     """An exponent row's factors on lattice d, e.g. ['X_A^pi', 'Y_B^-2pi']."""
     unit = {2: "pi", 4: "q"}.get(d, "a0")
     terms = []
     for j, pair in enumerate(exponents):
-        label = _PARTY_LETTERS[j % len(_PARTY_LETTERS)]
+        label = _party_label(j)
         for sym, e in zip("XY", pair):
             if e:
                 coeff = {1: "", -1: "-"}.get(e, str(e))

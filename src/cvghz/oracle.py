@@ -8,8 +8,7 @@ diag(1, w, w^2, ...) with w = exp(2*pi*i/d) and Y to the cyclic shift
 matrix, so every check below costs O(D) in the dimension D = d^n.
 
 The checks use only the standard library, so `cvghz oracle` starts without
-numpy; only the dense helpers `represent` and `clock_shift` need it, and
-`represent` imports it.
+numpy; only `represent`, the dense matrix for tests, imports it.
 """
 
 import cmath
@@ -20,7 +19,7 @@ from itertools import accumulate, combinations
 
 # perfbench/spans.py patches `cvghz.oracle.verify`; nothing here calls it.
 from .paradox import OperatorSet, Refusal, verify  # noqa: F401
-from .weyl import LatticeParams, WeylWord, _Frozen, product
+from .weyl import WeylWord, _Frozen, product
 
 DEFAULT_DIM_CEILING = 4096
 EIGEN_TOL = 1e-8  # tolerance of the eigenvector checks and of |lambda| = 1
@@ -34,16 +33,6 @@ class DimensionCeilingError(Refusal):
         self.ceiling = ceiling
         super().__init__(
             f"dense dimension {dim} exceeds ceiling {ceiling}")
-
-
-def clock_shift(d: int):
-    """The d x d clock X = diag(w^j) and shift Y: |j> -> |j+1 mod d>.
-
-    Dense numpy matrices, built by `represent`; needs numpy.
-    """
-    params = LatticeParams(d)
-    return (represent(WeylWord(params, ((1, 0),))),
-            represent(WeylWord(params, ((0, 1),))))
 
 
 def _roots_of_unity(d: int) -> list[complex]:
@@ -117,8 +106,8 @@ def monomial(word: WeylWord,
         image = [i * d + s for i in image for s in shifted]
         power = [(p + m * s) % d for p in power for s in shifted]
     scale = word.phase.to_complex()
-    scaled = [scale * w for w in _roots_of_unity(d)]
-    return Monomial(image, [scaled[p] for p in power])
+    phases = [scale * w for w in _roots_of_unity(d)]
+    return Monomial(image, [phases[p] for p in power])
 
 
 def represent(word: WeylWord, dim_ceiling: int = DEFAULT_DIM_CEILING):

@@ -9,8 +9,7 @@ Gaussian peaks a lattice Weyl word acts factor by factor:
 with a0 = b0 = pi*sqrt(2/d), so Y translates the wavefunction argument by
 s = n*sqrt(2/d) (for d = 2, exactly the peak spacing) and X multiplies by a
 position phase. All overlaps and matrix elements between equal-width
-Gaussian peaks are evaluated in closed form; `quadrature_check` provides an
-independent grid-integration oracle for the same quantities.
+Gaussian peaks are evaluated in closed form, in plain Python.
 """
 
 from __future__ import annotations
@@ -222,55 +221,6 @@ def _expectations(state: ProductStateSum,
 def weyl_expectation(state: ProductStateSum, word: WeylWord) -> complex:
     """<state| word |state> by closed-form Gaussian integrals (no quadrature)."""
     return _expectations(state, [word])[0]
-
-
-def _comb_wavefunction(comb: GaussianComb, x):
-    """The comb's wavefunction on the numpy array of points x."""
-    import numpy as np
-
-    norm = (2.0 * math.pi * comb.delta ** 2) ** -0.25
-    psi = np.zeros_like(x, dtype=complex)
-    for c, w in zip(comb.centers, comb.weights):
-        psi += w * np.exp(-(x - c) ** 2 / (4.0 * comb.delta ** 2))
-    return norm * psi
-
-
-def quadrature_check(state: ProductStateSum, word: WeylWord,
-                     n_points: int = 40001) -> complex:
-    """Same expectation as `weyl_expectation`, by direct grid integration.
-
-    Independent oracle: evaluates the comb wavefunctions pointwise and
-    integrates per party with the trapezoid rule. Raises if the grid is too
-    coarse to resolve the peak width. Needs numpy, which it imports.
-    """
-    import numpy as np
-
-    if word.n_parties != state.n_parties:
-        raise ValueError("word and state party counts differ")
-    action = _word_action(word)
-    reach = max(abs(c) for _, f in state.terms
-                for comb in f for c in comb.centers)
-    delta = state.terms[0][1][0].delta
-    shift_max = max(abs(s) for _, s in action)
-    x_max = reach + shift_max + 12.0 * delta + 2.0
-    x = np.linspace(-x_max, x_max, n_points)
-    spacing = x[1] - x[0]
-    min_delta = min(comb.delta for _, f in state.terms for comb in f)
-    if spacing > min_delta / 4.0:
-        raise ValueError(
-            f"grid spacing {spacing:.3g} too coarse for peak width "
-            f"{min_delta:.3g}; increase n_points")
-    total = 0.0 + 0.0j
-    for ct, ft in state.terms:
-        for cu, fu in state.terms:
-            val = ct.conjugate() * cu
-            for bra, ket, (mu, shift) in zip(ft, fu, action):
-                integrand = (np.conj(_comb_wavefunction(bra, x))
-                             * np.exp(1j * mu * x)
-                             * _comb_wavefunction(ket, x + shift))
-                val *= np.trapezoid(integrand, x)
-            total += val
-    return word.phase.to_complex() * total
 
 
 class ConvergenceRow(_Frozen):

@@ -115,9 +115,6 @@ class RationalPhase(_Frozen):
     def __neg__(self) -> RationalPhase:
         return RationalPhase(-self.numerator, self.denominator)
 
-    def scaled(self, k: int) -> RationalPhase:
-        return RationalPhase(k * self.numerator, self.denominator)
-
     def to_complex(self) -> complex:
         """The unit-modulus scalar this phase represents (floating point)."""
         return cmath.exp(2j * math.pi * self.numerator / self.denominator)
@@ -167,22 +164,6 @@ class WeylWord(_Frozen):
 
 def identity_word(params: LatticeParams, n_parties: int) -> WeylWord:
     return WeylWord(params, ((0, 0),) * n_parties)
-
-
-def make_generator(params: LatticeParams, n_parties: int, party: int,
-                   axis: str, exponent: int) -> WeylWord:
-    """Single-party translation generator X_party^{exponent*a0} or Y^{...b0}.
-
-    `axis` is "X" or "Y". The word carries phase 0.
-    """
-    if not 0 <= party < n_parties:
-        raise IndexError(f"party {party} out of range for {n_parties} parties")
-    if axis not in ("X", "Y"):
-        raise ValueError(f"axis must be 'X' or 'Y', got {axis!r}")
-    pair = (exponent, 0) if axis == "X" else (0, exponent)
-    exps = [(0, 0)] * n_parties
-    exps[party] = pair
-    return WeylWord(params, tuple(exps))
 
 
 def _check_compatible(a: WeylWord, b: WeylWord) -> None:

@@ -15,6 +15,7 @@ from cvghz import cli, oracle, paradox, states
 from cvghz.paradox import (LhvAssignment, builtin, canonicalize, lhv_value,
                            search, verify)
 from cvghz.weyl import (LatticeParams, RationalPhase, WeylWord, multiply)
+from references import quadrature_check
 
 HALF = RationalPhase(1, 2)
 
@@ -162,7 +163,7 @@ def test_criterion_8_integral_oracle_agreement(capsys):
         state = states.ProductStateSum(((1.0, (comb,)),))
         word = WeylWord(d2, ((m, n),))
         closed = states.weyl_expectation(state, word)
-        grid = states.quadrature_check(state, word)
+        grid = quadrature_check(state, word)
         assert abs(closed - grid) < 1e-8
     with capsys.disabled():
         report_line(8, f"closed form vs quadrature on {len(cases)} cases")

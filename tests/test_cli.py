@@ -1,5 +1,6 @@
 """CLI contract: exit codes, file format round trip, deterministic output."""
 
+import ast
 import gc
 import json
 import os
@@ -69,6 +70,16 @@ class TestFileFormat:
         del data["name"]
         assert cli.set_from_dict(data).name is None
 
+    def test_duplicate_key_exit_two(self, capsys, tmp_path):
+        # json keeps the last of two equal keys: this file would verify v4's
+        # operators as d = 2 whatever the first "d" said
+        text = json.dumps(cli.set_to_dict(builtin("v4")))
+        path = tmp_path / "twice.json"
+        path.write_text(text.replace('{"d": 2,', '{"d": 3, "d": 2,'))
+        code, out, err = run(capsys, "verify", "--file", str(path))
+        assert (code, out) == (2, "")
+        assert err == "input error: duplicate key 'd'\n"
+
 
 class TestVerify:
     def test_v4_exit_zero(self, capsys):
@@ -122,6 +133,22 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == "input error: field 'name' must be a string, " \
                       "got ['x', 1]\n"
+
+    def test_parties_past_z_labelled_apart(self, capsys, tmp_path):
+        # A..Z, then AA: 27 parties, 27 labels, the first 26 as before
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(
+            {"d": 2, "parties": 27, "operators": [[[1, 0]] * 27]}))
+        code, out, _ = run(capsys, "verify", "--file", str(path))
+        assert code == 1
+        text = out.splitlines()[1]
+        assert text.startswith("  [1] ")
+        code, out, _ = run(capsys, "verify", "--file", str(path), "--json")
+        assert code == 1
+        operator = json.loads(out)["operators"][0]
+        for rendered in (text[len("  [1] "):], operator):
+            labels = [t[len("X_"):-len("^pi")] for t in rendered.split()]
+            assert labels == list("ABCDEFGHIJKLMNOPQRSTUVWXYZ") + ["AA"]
 
     def test_unknown_builtin_exit_two(self, capsys):
         code, _, _ = run(capsys, "verify", "--set", "nope")
@@ -592,6 +619,29 @@ class TestStartup:
         assert numpy_loaded("from cvghz import oracle, paradox; "
                             "oracle.represent(paradox.builtin('v4')"
                             ".operators[0])")
+
+    def test_numpy_imported_only_in_represent(self):
+        # the dense matrix for tests is the one place; any other numpy
+        # import would load it on a CLI path or stand where tests belong
+        found = []
+
+        def visit(node, module, scope):
+            for child in ast.iter_child_nodes(node):
+                inner = scope
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    inner = scope + (child.name,)
+                names = []
+                if isinstance(child, ast.Import):
+                    names = [alias.name for alias in child.names]
+                elif isinstance(child, ast.ImportFrom):
+                    names = [child.module or ""]
+                if any(name.split(".")[0] == "numpy" for name in names):
+                    found.append(".".join((module,) + scope))
+                visit(child, module, inner)
+
+        for path in sorted(Path(cvghz.__file__).parent.glob("*.py")):
+            visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, ())
+        assert found == ["oracle.represent"]
 
     @pytest.mark.parametrize("code", STARTUP_CODES)
     def test_slow_imports_not_loaded(self, code):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvghz.oracle import (DimensionCeilingError, check_set, clock_shift,
+from cvghz.oracle import (DimensionCeilingError, check_set,
                           ghz_comb_eigenvalues, joint_eigenvector, monomial,
                           represent)
 from cvghz.paradox import OperatorSet, builtin, set_from_rows, verify
@@ -40,6 +40,13 @@ def dense(mon):
     return mat
 
 
+def clock_and_shift(d):
+    """The d x d clock X and shift Y: `represent` of the X and Y words."""
+    params = LatticeParams(d)
+    return (represent(WeylWord(params, ((1, 0),))),
+            represent(WeylWord(params, ((0, 1),))))
+
+
 def random_word(rng, params, n_parties, max_exp=4):
     exps = tuple((int(rng.integers(-max_exp, max_exp + 1)),
                   int(rng.integers(-max_exp, max_exp + 1)))
@@ -50,16 +57,16 @@ def random_word(rng, params, n_parties, max_exp=4):
 
 class TestClockShift:
     def test_d2_anticommutes(self):
-        x, y = clock_shift(2)
+        x, y = clock_and_shift(2)
         assert np.linalg.norm(x @ y + y @ x) < 1e-15
 
     def test_d4_quarter_phase(self):
-        x, y = clock_shift(4)
+        x, y = clock_and_shift(4)
         assert np.linalg.norm(x @ y - 1j * y @ x) < 1e-15
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 7])
     def test_commutation_and_order(self, d):
-        x, y = clock_shift(d)
+        x, y = clock_and_shift(d)
         omega = np.exp(2j * np.pi / d)
         assert np.linalg.norm(x @ y - omega * y @ x) < 1e-12
         assert np.linalg.norm(np.linalg.matrix_power(x, d) - np.eye(d)) < 1e-12
@@ -67,11 +74,11 @@ class TestClockShift:
 
     def test_d_below_two_rejected(self):
         with pytest.raises(ValueError):
-            clock_shift(1)
+            clock_and_shift(1)
 
     def test_matches_represent_convention(self):
         # (m, n) -> X^m Y^n must agree with the generator matrices
-        x, y = clock_shift(3)
+        x, y = clock_and_shift(3)
         p = LatticeParams(3)
         w = WeylWord(p, ((2, 1),))
         expected = np.linalg.matrix_power(x, 2) @ y
@@ -180,7 +187,7 @@ class TestCheckSet:
         # cross-checked against the direct 2x2 computation
         rows = [((1, 0),), ((0, 1),)]
         report = check_set(set_from_rows(2, rows))
-        x, y = clock_shift(2)
+        x, y = clock_and_shift(2)
         direct = np.linalg.norm(x @ y - y @ x)
         assert abs(report.max_commutator_norm - direct) < 1e-12
         assert abs(direct - 2 * np.sqrt(2)) < 1e-12

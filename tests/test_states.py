@@ -12,8 +12,9 @@ from cvghz.paradox import builtin
 from cvghz.states import (OVERLAP_CUTOFF, GaussianComb, ProductStateSum,
                           comb_matrix_element, comb_overlap,
                           convergence_study, ghz_state, make_comb,
-                          quadrature_check, state_norm, weyl_expectation)
+                          state_norm, weyl_expectation)
 from cvghz.weyl import LatticeParams, RationalPhase, WeylWord, identity_word
+from references import quadrature_check
 
 D2 = LatticeParams(2)
 # the largest |a - b + s| whose Gaussian factor can reach OVERLAP_CUTOFF

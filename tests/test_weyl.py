@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from cvghz.weyl import (LatticeParams, RationalPhase, WeylWord,
                         commutation_phase, crossing, dagger, identity_word,
-                        is_scalar, make_generator, multiply, product,
-                        symplectic)
+                        is_scalar, multiply, product, symplectic)
 
 
 class TestRationalPhase:
@@ -24,7 +23,6 @@ class TestRationalPhase:
         b = RationalPhase(1, 2)
         assert (a + b).turns == Fraction(5, 6)
         assert (-a).turns == Fraction(2, 3)
-        assert a.scaled(3) == RationalPhase(0)
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):
@@ -55,27 +53,9 @@ class TestRationalPhase:
 
 
 class TestGenerators:
-    def test_x_generator_d2(self):
-        w = make_generator(LatticeParams(2), 3, 0, "X", 1)
-        assert w.exponents == ((1, 0), (0, 0), (0, 0))
-        assert w.phase.is_zero
-
-    def test_y_generator_d4(self):
-        w = make_generator(LatticeParams(4), 5, 1, "Y", -3)
-        assert w.exponents[1] == (0, -3)
-        assert all(e == (0, 0) for i, e in enumerate(w.exponents) if i != 1)
-
     def test_zero_exponent_is_identity(self):
-        w = make_generator(LatticeParams(3), 2, 1, "X", 0)
+        w = WeylWord(LatticeParams(3), ((0, 0), (0, 0)))
         assert w == identity_word(LatticeParams(3), 2)
-
-    def test_party_out_of_range(self):
-        with pytest.raises(IndexError):
-            make_generator(LatticeParams(2), 3, 3, "X", 1)
-
-    def test_bad_axis(self):
-        with pytest.raises(ValueError):
-            make_generator(LatticeParams(2), 3, 0, "Z", 1)
 
     def test_d_below_two_rejected(self):
         with pytest.raises(ValueError):
@@ -85,16 +65,16 @@ class TestGenerators:
 class TestMultiply:
     def test_xy_already_ordered(self):
         p = LatticeParams(2)
-        x = make_generator(p, 1, 0, "X", 1)
-        y = make_generator(p, 1, 0, "Y", 1)
+        x = WeylWord(p, ((1, 0),))
+        y = WeylWord(p, ((0, 1),))
         w = multiply(x, y)
         assert w.exponents == ((1, 1),)
         assert w.phase.is_zero
 
     def test_yx_picks_up_half_turn(self):
         p = LatticeParams(2)
-        x = make_generator(p, 1, 0, "X", 1)
-        y = make_generator(p, 1, 0, "Y", 1)
+        x = WeylWord(p, ((1, 0),))
+        y = WeylWord(p, ((0, 1),))
         w = multiply(y, x)
         assert w.exponents == ((1, 1),)
         assert w.phase == RationalPhase(1, 2)
@@ -114,7 +94,7 @@ class TestDagger:
         assert dagger(w) == w
 
     def test_generator_adjoint(self):
-        w = make_generator(LatticeParams(4), 1, 0, "X", 1)
+        w = WeylWord(LatticeParams(4), ((1, 0),))
         dw = dagger(w)
         assert dw.exponents == ((-1, 0),)
         assert dw.phase.is_zero
@@ -129,14 +109,14 @@ class TestDagger:
 class TestCommutationPhase:
     def test_d2_half_turn(self):
         p = LatticeParams(2)
-        x = make_generator(p, 1, 0, "X", 1)
-        y = make_generator(p, 1, 0, "Y", 1)
+        x = WeylWord(p, ((1, 0),))
+        y = WeylWord(p, ((0, 1),))
         assert commutation_phase(x, y) == RationalPhase(1, 2)
 
     def test_d4_quarter_turn(self):
         p = LatticeParams(4)
-        x = make_generator(p, 1, 0, "X", 1)
-        y = make_generator(p, 1, 0, "Y", 1)
+        x = WeylWord(p, ((1, 0),))
+        y = WeylWord(p, ((0, 1),))
         assert commutation_phase(x, y) == RationalPhase(1, 4)
 
     def test_self_commutation(self):
@@ -149,7 +129,8 @@ class TestIsScalar:
         assert is_scalar(identity_word(LatticeParams(2), 3)) == RationalPhase(0)
 
     def test_nonscalar(self):
-        assert is_scalar(make_generator(LatticeParams(2), 3, 0, "X", 1)) is None
+        x = WeylWord(LatticeParams(2), ((1, 0), (0, 0), (0, 0)))
+        assert is_scalar(x) is None
 
     def test_empty_product_rejected(self):
         with pytest.raises(ValueError):
@@ -222,7 +203,7 @@ def test_d2_generator_squares_add_exactly():
     p = LatticeParams(2)
     for axis in ("X", "Y"):
         for e in (1, -1):
-            g = make_generator(p, 1, 0, axis, e)
+            g = WeylWord(p, ((e, 0),) if axis == "X" else ((0, e),))
             sq = multiply(g, g)
             assert sq.phase.is_zero
             expected = (2 * e, 0) if axis == "X" else (0, 2 * e)
