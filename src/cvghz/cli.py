@@ -332,12 +332,10 @@ def cmd_simulate(args) -> int:
 
     if not math.isfinite(args.max_dev):
         raise InputError(f"--max-dev must be finite, got {args.max_dev}")
-    try:
-        deltas = [float(s) for s in args.delta.split(",") if s.strip()]
+    try:  # an empty or blank item is not a number either
+        deltas = [float(s) for s in args.delta.split(",")]
     except ValueError as exc:
         raise InputError(f"bad --delta list: {exc}") from None
-    if not deltas:
-        raise InputError("--delta list is empty")
     if args.peaks < 1:  # --peaks 0 is one peak: up and down combs are equal
         raise InputError(f"--peaks must be >= 1, got {args.peaks}")
     # the study checks these too, but names its own parameters

@@ -261,8 +261,8 @@ def canonicalize(op_set: OperatorSet) -> OperatorSet:
 class _SearchTables(_Frozen):
     """The tables of one search, as `_tables` builds them for `_walk`."""
 
-    __slots__ = ("d", "n_operators", "rows", "first_rows", "code",
-                 "code_index", "comm", "exact")
+    __slots__ = ("d", "n_operators", "rows", "first_rows", "width",
+                 "entry_code", "code", "code_index", "comm", "exact")
 
 
 def _tables(d: int, n_parties: int, n_operators: int,
@@ -280,12 +280,17 @@ def _tables(d: int, n_parties: int, n_operators: int,
     tuple, so key(row) <= row, every other row with key r sorts after r,
     and "index >= r's" is exactly "key >= r".
 
+    Every party draws its entries from `pairs`, so one code serves them
+    all. Entry (m, n) has code c(m, n) = m * width + n (`entry_code`, in
+    the order of `pairs`), and row i has code[i] = sum over t of
+    c(row_t) * width^(2t): a balanced base-width number, digits n_0, m_0,
+    n_1, m_1 and so on. Both codes are linear. Every coordinate of a sum
+    of up to n_operators entries or rows lies in [-h, h] with h =
+    n_operators * max|v| = (width - 1) / 2, so it is one balanced digit,
+    and distinct sums have distinct codes.
+
     `exact[t][e]` is the bitmask of the rows whose party-t entry is e;
-    `_walk` builds its window masks from them. Commutation masks are built
-    party by party: symplectic(a, b) is the sum of the one-party forms
-    symplectic((a_t,), (b_t,)), so for each residue prefix the rows whose
-    partial form is s mod d are folded over the parties from one bitmask
-    per (party, pair mod d), itself folded from the exact masks.
+    `_walk` builds its window masks from them.
     """
     zero_row = ((0, 0),) * n_parties
     closed = {(-m, -n) for m, n in pairs} == set(pairs)
@@ -297,12 +302,10 @@ def _tables(d: int, n_parties: int, n_operators: int,
     rows = [row for _, row in keyed]
     first_rows = sum(1 << i for i, (key, row) in enumerate(keyed)
                      if key == row)
-    # Balanced mixed-radix code of a flat exponent vector: linear, and
-    # injective on vectors with every entry in [-span, span], which covers
-    # every partial column sum of up to n_operators rows.
-    span = n_operators * max(abs(v) for pair in pairs for v in pair)
-    weights = [(2 * span + 1) ** c for c in range(2 * n_parties)]
-    code = [sum(map(int.__mul__, [v for pair in row for v in pair], weights))
+    width = 2 * n_operators * max(abs(v) for pair in pairs for v in pair) + 1
+    entry = {(m, n): m * width + n for m, n in pairs}
+    powers = [width ** (2 * t) for t in range(n_parties)]
+    code = [sum(map(int.__mul__, map(entry.__getitem__, row), powers))
             for row in rows]
     code_index = {c: i for i, c in enumerate(code)}
 
@@ -312,29 +315,32 @@ def _tables(d: int, n_parties: int, n_operators: int,
             held[e] |= 1 << i
 
     # Commutation bitmasks: bit j of comm[i] set iff rows i and j commute.
-    # The one-party form mod d depends only on the pairs mod d, so the
-    # tables below are keyed by residue pair: at most d^2 keys, however
-    # large the alphabet.
-    # forms[t][a][v]: rows whose party-t pair b has symplectic((a,), (b,))
-    # = v mod d. Folding them over the parties tracks, for each s, the rows
-    # whose form with row i over the parties so far is s mod d. That
-    # depends only on row i's residues over those parties, so the classes
-    # are folded in sorted order, reusing the previous class's folds of
-    # their shared prefix.
-    residue_pairs = sorted({(m % d, n % d) for m, n in pairs})
+    # symplectic(a, b) sums the one-party forms symplectic((a_t,), (b_t,)),
+    # which mod d depend only on the pairs mod d: the tables are keyed by
+    # residue pair (at most d^2 keys however large the alphabet), and each
+    # form is taken once. forms[t][a][v]: rows whose party-t pair b has
+    # form(a, b) = v mod d. Folding them over the parties tracks, for each
+    # s, the rows whose form with row i over the parties so far is s mod d.
+    # That depends only on row i's residues over those parties, so the
+    # classes are folded in sorted order, reusing the previous class's
+    # folds of their shared prefix.
+    residue = {(m, n): (m % d, n % d) for m, n in pairs}
+    residue_pairs = sorted(set(residue.values()))
+    form = [(a, symplectic((a,), (b,)) % d, b)
+            for a, b in itertools.product(residue_pairs, repeat=2)]
     forms = []
     for held in exact:
         by_residue = dict.fromkeys(residue_pairs, 0)
-        for (m, n), bits in held.items():
-            by_residue[m % d, n % d] |= bits
+        for e, bits in held.items():
+            by_residue[residue[e]] |= bits
         table = {a: [0] * d for a in residue_pairs}
-        for a, b in itertools.product(residue_pairs, repeat=2):
-            table[a][symplectic((a,), (b,)) % d] |= by_residue[b]
+        for a, v, b in form:
+            table[a][v] |= by_residue[b]
         forms.append(table)
     # residue class -> itself, shared by its rows; then -> its mask
     classes: dict = {}
     residues = [classes.setdefault(key, key) for key in (
-        tuple([(m % d, n % d) for m, n in row]) for row in rows)]
+        tuple(map(residue.__getitem__, row)) for row in rows)]
     folds: list = []  # folds[t]: over parties 0..t of the last class
     last = ()
     for cls in sorted(classes):
@@ -351,8 +357,8 @@ def _tables(d: int, n_parties: int, n_operators: int,
         classes[cls] = folds[-1][0]
         last = cls
     comm = list(map(classes.__getitem__, residues))
-    return _SearchTables(d, n_operators, rows, first_rows, code, code_index,
-                         comm, exact)
+    return _SearchTables(d, n_operators, rows, first_rows, width,
+                         list(entry.values()), code, code_index, comm, exact)
 
 
 def _walk(tables: _SearchTables, visit) -> None:
@@ -362,44 +368,37 @@ def _walk(tables: _SearchTables, visit) -> None:
     never steps to a smaller index. Commutation is pruned incrementally
     through the masks. Before a node loops, its mask is ANDed with one
     window mask per party, cached per (rows left, party, partial sum s):
-    the rows whose party-t entry e leaves -(s + e) a sum of as many party-t
+    the rows whose party-t entry e leaves -(s + e) a sum of as many
     entries as there are rows left after this one. At the last free level
     that sum is a single entry, so the window keeps exactly the candidates
     whose forced last row is inside the alphabet. A window only prunes what
     the code lookup rejects anyway, so a node with fewer candidates than
-    the window's build steps skips it on the key's first sight.
+    the window's build steps skips it on the key's first sight. reach[r],
+    shared by every party's windows, has bit c(v) - r * c0 set for each sum
+    v of r entries, with c the entry code of `_tables` and c0 its least.
 
     The product phase, -sum over i < j of crossing(row_i, row_j) / d,
     equals -sum over j of crossing(S_j, row_j) / d with S_j the column sums
     of the rows before j. The DFS carries that sum with the column sums,
     so a completion costs two `crossing` calls.
     """
-    (d, n_operators, rows, first_rows, code, code_index, comm,
-     exact) = tables._fields()
-    # Sums of party-t entries as bitmasks. c(m, n) = m * width + n is
-    # linear, and injective on [-span, span]^2 with span = n_operators *
-    # the largest |coordinate|, which holds every sum of up to n_operators
-    # entries. reach[t][r] has bit c(v) - r * c0[t] set for each sum v of r
-    # party-t entries, with c0[t] the least code of an entry.
-    width = 2 * n_operators * max(abs(v) for held in exact
-                                  for e in held for v in e) + 1
-    codes = [[m * width + n for m, n in held] for held in exact]
-    c0 = [min(c) for c in codes]
-    reach = [[1] for _ in exact]
+    (d, n_operators, rows, first_rows, width, entry_code, code, code_index,
+     comm, exact) = tables._fields()
+    c0 = min(entry_code)
+    reach = [1]
     windows = [[{} for _ in exact] for _ in range(n_operators)]
 
     def window(t: int, left: int, s: tuple[int, int]) -> int:
-        sums = reach[t]
-        while len(sums) <= left:
+        while len(reach) <= left:
             acc = 0
-            for c in codes[t]:
-                acc |= sums[-1] << c - c0[t]
-            sums.append(acc)
+            for c in entry_code:
+                acc |= reach[-1] << c - c0
+            reach.append(acc)
         # bit of -(s + e), for each entry e of party t; the sets for
         # distinct entries are disjoint, so + is |
-        base = -s[0] * width - s[1] - left * c0[t]
-        return sum([bits for c, bits in zip(codes[t], exact[t].values())
-                    if c <= base and sums[left] >> base - c & 1])
+        base = -s[0] * width - s[1] - left * c0
+        return sum([bits for c, bits in zip(entry_code, exact[t].values())
+                    if c <= base and reach[left] >> base - c & 1])
 
     def extend(left: int, mask: int, cands: int, sums: tuple,
                scode: int, phase: int) -> None:
@@ -409,9 +408,9 @@ def _walk(tables: _SearchTables, visit) -> None:
         for t, (cache, s) in enumerate(zip(windows[left], sums)):
             bits = cache.get(s)
             if bits is None:
-                # a build is a step per party-t entry: not worth it for
-                # fewer candidates on the key's first sight (marked None)
-                if s not in cache and mask.bit_count() < len(codes[t]):
+                # a build is a step per entry: not worth it for fewer
+                # candidates on the key's first sight (marked None)
+                if s not in cache and mask.bit_count() < len(entry_code):
                     cache[s] = None
                     continue
                 bits = cache[s] = window(t, left, s)
@@ -473,23 +472,30 @@ def search(params: LatticeParams, n_parties: int, n_operators: int,
     if math.isnan(space_ceiling):
         raise ValueError("space_ceiling must not be NaN")
     if allowed_pairs is None:
+        # the whole box, in sorted order without repeats. It is counted
+        # here and listed only once the search is admitted; a generator,
+        # since `itertools.product` would copy its ranges at once.
         r = range(-max_exponent, max_exponent + 1)
-        allowed_pairs = itertools.product(r, repeat=2)
-    pairs = sorted(set(map(tuple, allowed_pairs)))
-    for m, n in pairs:
-        if max(abs(m), abs(n)) > max_exponent:
-            raise ValueError(f"allowed pair {(m, n)} exceeds max_exponent")
+        pairs = ((m, n) for m in r for n in r)
+        n_pairs, has_zero = len(r) ** 2, True
+    else:
+        pairs = sorted(set(map(tuple, allowed_pairs)))
+        for m, n in pairs:
+            if max(abs(m), abs(n)) > max_exponent:
+                raise ValueError(f"allowed pair {(m, n)} exceeds "
+                                 f"max_exponent")
+        n_pairs, has_zero = len(pairs), (0, 0) in pairs
 
     if n_operators < 2:
         return []
     # More than 2^520 rows square to beyond float range, so every finite
     # ceiling refuses them: decide that before the power, which has
     # millions of digits for a huge n_parties.
-    if len(pairs) > 1 and space_ceiling < math.inf \
-            and n_parties > 521 / math.log2(len(pairs)):
+    if n_pairs > 1 and space_ceiling < math.inf \
+            and n_parties > 521 / math.log2(n_pairs):
         raise SearchSpaceError(math.inf, space_ceiling)
     # every choice of one pair per party except the identity row
-    n_rows = len(pairs) ** n_parties - ((0, 0) in pairs)
+    n_rows = n_pairs ** n_parties - has_zero
     if n_rows == 0:
         return []
 
@@ -507,6 +513,6 @@ def search(params: LatticeParams, n_parties: int, n_operators: int,
 
     found: set = set()
     memo: dict = {}  # canonical_rows' per-row work, shared by the hits
-    _walk(_tables(params.d, n_parties, n_operators, pairs),
+    _walk(_tables(params.d, n_parties, n_operators, list(pairs)),
           lambda hit: found.add(canonical_rows(hit, memo)))
     return [OperatorSet(params, key) for key in sorted(found)]

@@ -2,6 +2,7 @@
 
 import ast
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -11,6 +12,11 @@ import warnings
 from pathlib import Path
 
 import pytest
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 import cvghz
 from cvghz import cli, oracle, paradox, states
@@ -210,6 +216,57 @@ class TestSearch:
         assert err == ("refused: estimated enumeration size inf exceeds "
                        "ceiling 2e+13; tighten the bounds\n")
 
+    @pytest.mark.skipif(resource is None or not hasattr(os, "wait4"),
+                        reason="needs resource and os.wait4")
+    def test_refusal_lists_no_exponent_box(self, tmp_path):
+        # (2 * 10^6 + 1)^2 pairs per party: a list of them fills the
+        # 512 MiB cap, and a copy of the 2 * 10^6 + 1 exponents alone
+        # takes 90 MiB, so the refusal must come before either
+        def cap_memory():
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            soft = 512 * 2 ** 20
+            if hard != resource.RLIM_INFINITY:
+                soft = min(soft, hard)
+            resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+        out_path, err_path = tmp_path / "out.txt", tmp_path / "err.txt"
+        start = time.perf_counter()
+        with open(out_path, "wb") as out, open(err_path, "wb") as err:
+            proc = subprocess.Popen(
+                CVGHZ + ["search", "--parties", "1", "--dim", "2",
+                         "--operators", "2", "--max-exp", "1000000"],
+                stdout=out, stderr=err, env=cvghz_env(),
+                preexec_fn=cap_memory)
+            _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        assert time.perf_counter() - start < 1.0
+        assert proc.returncode == 3
+        assert out_path.read_bytes() == b""
+        assert err_path.read_text().startswith("refused: ")
+        assert err_path.read_text().count("\n") == 1
+        # ru_maxrss is in KiB on Linux and in bytes on macOS
+        assert usage.ru_maxrss / (2 ** 20 if sys.platform == "darwin"
+                                  else 2 ** 10) < 50
+
+    @pytest.mark.parametrize("dim,operators,size,digest", [
+        ("2", "4", 381035, "1c6a3647ffc38b9bb75b3885b96291cf"
+                           "abc0d274461c5b6e92e00224ca4e265c"),
+        ("3", "4", 269609, "e334b865587ee0632c3b4e92a813fb24"
+                           "2babc109cb1e92121433cf349e360a02"),
+        ("3", "5", 983699, "823ab9d9989ca33db6ff62cb20106298"
+                           "5955410e6b4f68e265f148357c11cbda"),
+        pytest.param("2", "5", 5777510, "e6a4627b748b678b8056db116f3db4a1"
+                                        "6dbfd041c41080b08d5e2df923a1aeb1",
+                     marks=pytest.mark.slow),
+    ], ids=["d2-k4", "d3-k4", "d3-k5", "d2-k5"])
+    def test_gate_search_listing_pinned(self, capsys, dim, operators, size,
+                                        digest):
+        # the 3-party searches over the unit box that gate search changes
+        code, out, err = run(capsys, "search", "--parties", "3", "--dim",
+                             dim, "--operators", operators, "--max-exp", "1")
+        assert (code, err, len(out.encode())) == (0, "", size)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_walk_deeper_than_the_stack_refused(self, capsys, monkeypatch):
         # _walk nests one call per operator; the default ceiling would
         # refuse this by its size alone
@@ -381,9 +438,16 @@ class TestSimulate:
         devs = [float(r.split(",")[-1]) for r in rows]
         assert devs == sorted(devs, reverse=True)
 
-    def test_empty_delta_exit_two(self, capsys):
-        code, _, _ = run(capsys, "simulate", "--delta", "")
-        assert code == 2
+    def test_empty_delta_exit_two(self, capsys, monkeypatch):
+        # padded numbers are numbers; an empty or blank item is not
+        assert run(capsys, "simulate", "--delta", "0.2, 0.1") \
+            == run(capsys, "simulate", "--delta", "0.2,0.1")
+        forbid(monkeypatch, states, "ghz_state")
+        for delta in ("", " ", "0.2,,0.1", "0.2,0.1,"):
+            code, out, err = run(capsys, "simulate", "--delta", delta)
+            assert (delta, code, out) == (delta, 2, "")
+            assert err.startswith("input error: bad --delta list: ")
+            assert err.count("\n") == 1
 
     def test_ascending_delta_exit_two(self, capsys):
         code, _, _ = run(capsys, "simulate", "--delta", "0.05,0.1")
