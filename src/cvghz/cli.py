@@ -235,6 +235,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
+    if not args.max_space > 0:  # NaN compares False with every estimate
+        raise InputError(f"--max-space must be > 0 and not NaN, "
+                         f"got {args.max_space}")
     # the search checks its arguments and may refuse, so --emit is made only
     # after it; a target that cannot be a directory costs no search, and
     # it can be one only if its nearest existing ancestor is a directory
@@ -284,10 +287,12 @@ def cmd_oracle(args) -> int:
         raise InputError(f"--tol must be finite, got {args.tol}")
     if args.seed < 0:
         raise InputError(f"--seed must be >= 0, got {args.seed}")
+    if args.max_dim is not None and args.max_dim < 1:
+        raise InputError(f"--max-dim must be >= 1, got {args.max_dim}")
     op_set = load_set(args.set, args.file)
-    ceiling = (oracle.DEFAULT_DIM_CEILING if args.max_dim is None
-               else args.max_dim)
-    report = oracle.check_set(op_set, dim_ceiling=ceiling)
+    imgs = oracle.images(op_set, oracle.DEFAULT_DIM_CEILING
+                         if args.max_dim is None else args.max_dim)
+    report = oracle.check_set(imgs)
     sym = paradox.verify(op_set)
     lines = {
         "dimension": report.dimension,
@@ -302,8 +307,7 @@ def cmd_oracle(args) -> int:
           and report.max_unitarity_defect < args.tol)
     eig_lines = None
     if sym.is_commuting:
-        _, vals = oracle.joint_eigenvector(op_set, seed=args.seed,
-                                           dim_ceiling=ceiling)
+        _, vals = oracle.joint_eigenvector(imgs, seed=args.seed)
         eig_lines = {
             "eigenvalues": [_fmt_complex(v) for v in vals],
             "eigenvalue_product": _fmt_complex(math.prod(vals, start=1 + 0j)),

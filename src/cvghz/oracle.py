@@ -124,27 +124,23 @@ def represent(word: WeylWord, dim_ceiling: int = DEFAULT_DIM_CEILING):
     return mat
 
 
-# (op_set, dim_ceiling, monomials, commutator norm) of the last build
-_last_images: tuple = (None, None, (), 0.0)
+class Images(_Frozen):
+    """A set's clock-and-shift images, which both checks read: the
+    operators' monomials, the image of their symbolic product, and the
+    largest Frobenius norm of a pairwise commutator."""
+
+    __slots__ = ("d", "monomials", "product", "commutator_norm")
 
 
-def _images(op_set: OperatorSet,
-            dim_ceiling: int) -> tuple[tuple[Monomial, ...], float]:
-    """The operators' monomials and their largest pairwise commutator norm.
-
-    `cvghz oracle` passes one set object to `check_set` and then to
-    `joint_eigenvector`, so the last build is kept for that object and both
-    share it. It is keyed by identity: any other set, even an equal one, is
-    built afresh. Callers must not change the monomials' lists.
-    """
-    global _last_images
-    last_set, last_ceiling, mons, norm = _last_images
-    if op_set is not last_set or dim_ceiling != last_ceiling:
-        mons = tuple(monomial(w, dim_ceiling) for w in op_set.operators)
-        norm = max(((a @ b).distance(b @ a)
-                    for a, b in combinations(mons, 2)), default=0.0)
-        _last_images = (op_set, dim_ceiling, mons, norm)
-    return mons, norm
+def images(op_set: OperatorSet,
+           dim_ceiling: int = DEFAULT_DIM_CEILING) -> Images:
+    """The set's images; the first `monomial` refuses a dimension above
+    the ceiling before anything is allocated."""
+    mons = tuple(monomial(w, dim_ceiling) for w in op_set.operators)
+    return Images(op_set.params.d, mons,
+                  monomial(product(op_set.operators), dim_ceiling),
+                  max(((a @ b).distance(b @ a)
+                       for a, b in combinations(mons, 2)), default=0.0))
 
 
 class OracleReport(_Frozen):
@@ -152,24 +148,21 @@ class OracleReport(_Frozen):
                  "max_unitarity_defect")
 
 
-def check_set(op_set: OperatorSet,
-              dim_ceiling: int = DEFAULT_DIM_CEILING) -> OracleReport:
+def check_set(imgs: Images) -> OracleReport:
     """Numerically confirm commutation, unitarity and the symbolic product."""
-    mons, commutator_norm = _images(op_set, dim_ceiling)
+    mons = imgs.monomials
     eye = Monomial.scalar(len(mons[0].image), 1.0)
-    prod_word = product(op_set.operators)
     return OracleReport(
         dimension=len(eye.image),
-        max_commutator_norm=commutator_norm,
+        max_commutator_norm=imgs.commutator_norm,
         product_deviation=reduce(Monomial.__matmul__, mons).distance(
-            monomial(prod_word, dim_ceiling)),
+            imgs.product),
         max_unitarity_defect=max((m @ m.dagger()).distance(eye)
                                  for m in mons),
     )
 
 
-def joint_eigenvector(op_set: OperatorSet, seed: int = 0,
-                      dim_ceiling: int = DEFAULT_DIM_CEILING
+def joint_eigenvector(imgs: Images, seed: int = 0
                       ) -> tuple[list[complex], list[complex]]:
     """One simultaneous eigenvector of a commuting set, with its eigenvalues.
 
@@ -179,10 +172,10 @@ def joint_eigenvector(op_set: OperatorSet, seed: int = 0,
     """
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    mons, commutator_norm = _images(op_set, dim_ceiling)
-    if commutator_norm >= EIGEN_TOL:
+    if imgs.commutator_norm >= EIGEN_TOL:
         raise ValueError("operator set is not commuting")
-    d, dim = op_set.params.d, len(mons[0].image)
+    mons = imgs.monomials
+    d, dim = imgs.d, len(mons[0].image)
     rng = random.Random(seed)
     vec = [complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
            for _ in range(dim)]

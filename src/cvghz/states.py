@@ -19,10 +19,14 @@ import math
 from bisect import bisect_left, bisect_right
 
 from . import oracle
-from .paradox import builtin
+from .paradox import Refusal, builtin
 from .weyl import LatticeParams, WeylWord, _Frozen, identity_word
 
 OVERLAP_CUTOFF = 1e-16  # peak pairs below this Gaussian factor are dropped
+# Peaks per side of a comb. Beyond about 38.6 envelope widths a peak's
+# weight exp(-k^2 / (2 w^2)) underflows to 0, so this covers every
+# envelope up to about 259.
+MAX_PEAKS = 10_000
 
 
 def _check_width(name: str, width: float, factor: float) -> None:
@@ -144,6 +148,9 @@ def make_comb(kind: str, delta: float, n_peaks: int,
     _check_width("envelope_width", envelope_width, 2.0)  # delta: GaussianComb
     if n_peaks < 0:
         raise ValueError("n_peaks must be >= 0")
+    if n_peaks > MAX_PEAKS:
+        raise Refusal(f"{n_peaks} peaks per side exceed the ceiling "
+                      f"{MAX_PEAKS}")
     odd_weight = 1j if kind == "up" else -1j
     centers = []
     weights = []

@@ -38,6 +38,53 @@ def cvghz_env() -> dict:
 
 CVGHZ = [sys.executable, "-m", "cvghz.cli"]
 
+# os.wait4 reports a child's peak resident set counting the pages of the
+# process it was forked from, so `run_measured` forks the CLI from this
+# small launcher, which loads no site-packages, and not from pytest.
+# argv: address-space cap in bytes (0: none), stdout path, stderr path, and
+# the CLI's arguments; it prints the CLI's exit code and ru_maxrss.
+LAUNCHER = """
+import os, sys
+cap, out, err, *argv = sys.argv[1:]
+pid = os.fork()
+if pid == 0:
+    try:
+        if int(cap):
+            import resource
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            soft = int(cap)
+            if hard != resource.RLIM_INFINITY:
+                soft = min(soft, hard)
+            resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+        for fd, path in ((1, out), (2, err)):
+            os.dup2(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC), fd)
+        os.execv(sys.executable, [sys.executable, "-m", "cvghz.cli", *argv])
+    finally:
+        os._exit(127)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+needs_wait4 = pytest.mark.skipif(
+    resource is None or not hasattr(os, "wait4"),
+    reason="needs resource and os.wait4")
+
+
+def run_measured(tmp_path, argv, cap_mib=0):
+    """Run the CLI in a fresh process under an optional address-space cap.
+
+    Returns its exit code, stdout, stderr and peak resident set in MiB.
+    """
+    out, err = tmp_path / "out.txt", tmp_path / "err.txt"
+    launched = subprocess.run(
+        [sys.executable, "-S", "-c", LAUNCHER, str(cap_mib * 2 ** 20),
+         str(out), str(err), *argv],
+        capture_output=True, text=True, env=cvghz_env(), check=True)
+    code, maxrss = map(int, launched.stdout.split())
+    # ru_maxrss is in KiB on Linux and in bytes on macOS
+    return (code, out.read_text(), err.read_text(),
+            maxrss / (2 ** 20 if sys.platform == "darwin" else 2 ** 10))
+
 
 def forbid(monkeypatch, module, name):
     """Make module.name fail the test if anything calls it."""
@@ -216,37 +263,20 @@ class TestSearch:
         assert err == ("refused: estimated enumeration size inf exceeds "
                        "ceiling 2e+13; tighten the bounds\n")
 
-    @pytest.mark.skipif(resource is None or not hasattr(os, "wait4"),
-                        reason="needs resource and os.wait4")
+    @needs_wait4
     def test_refusal_lists_no_exponent_box(self, tmp_path):
         # (2 * 10^6 + 1)^2 pairs per party: a list of them fills the
         # 512 MiB cap, and a copy of the 2 * 10^6 + 1 exponents alone
         # takes 90 MiB, so the refusal must come before either
-        def cap_memory():
-            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
-            soft = 512 * 2 ** 20
-            if hard != resource.RLIM_INFINITY:
-                soft = min(soft, hard)
-            resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
-
-        out_path, err_path = tmp_path / "out.txt", tmp_path / "err.txt"
         start = time.perf_counter()
-        with open(out_path, "wb") as out, open(err_path, "wb") as err:
-            proc = subprocess.Popen(
-                CVGHZ + ["search", "--parties", "1", "--dim", "2",
-                         "--operators", "2", "--max-exp", "1000000"],
-                stdout=out, stderr=err, env=cvghz_env(),
-                preexec_fn=cap_memory)
-            _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)
+        code, out, err, peak_mib = run_measured(
+            tmp_path, ["search", "--parties", "1", "--dim", "2",
+                       "--operators", "2", "--max-exp", "1000000"],
+            cap_mib=512)
         assert time.perf_counter() - start < 1.0
-        assert proc.returncode == 3
-        assert out_path.read_bytes() == b""
-        assert err_path.read_text().startswith("refused: ")
-        assert err_path.read_text().count("\n") == 1
-        # ru_maxrss is in KiB on Linux and in bytes on macOS
-        assert usage.ru_maxrss / (2 ** 20 if sys.platform == "darwin"
-                                  else 2 ** 10) < 50
+        assert (code, out) == (3, "")
+        assert err.startswith("refused: ") and err.count("\n") == 1
+        assert peak_mib < 50
 
     @pytest.mark.parametrize("dim,operators,size,digest", [
         ("2", "4", 381035, "1c6a3647ffc38b9bb75b3885b96291cf"
@@ -376,6 +406,18 @@ class TestOracle:
         assert code == 3
         assert out == ""
         assert err == "refused: dense dimension 1024 exceeds ceiling 512\n"
+        # the least ceiling that is not an input error
+        assert run(capsys, "oracle", "--set", "v4", "--max-dim", "1") == (
+            3, "", "refused: dense dimension 8 exceeds ceiling 1\n")
+
+    @pytest.mark.parametrize("ceiling", ["0", "-1"])
+    def test_ceiling_below_one_exit_two(self, capsys, monkeypatch, ceiling):
+        # it would refuse every set; rejected before any set is loaded
+        forbid(monkeypatch, cli, "load_set")
+        code, out, err = run(capsys, "oracle", "--set", "v4",
+                             "--max-dim", ceiling)
+        assert (code, out) == (2, "")
+        assert err == f"input error: --max-dim must be >= 1, got {ceiling}\n"
 
     def test_default_dimension_ceiling(self, capsys, tmp_path):
         # 13 qubit parties: D = 8192, above the default ceiling of 4096
@@ -508,6 +550,19 @@ class TestSimulate:
         assert (code, out) == (2, "")
         assert err == f"input error: --peaks must be >= 1, got {peaks}\n"
 
+    @needs_wait4
+    def test_peaks_beyond_ceiling_refused(self, tmp_path):
+        # 10^8 peaks per side: the combs alone would fill the 512 MiB cap
+        start = time.perf_counter()
+        code, out, err, peak_mib = run_measured(
+            tmp_path, ["simulate", "--delta", "0.2", "--peaks", "100000000"],
+            cap_mib=512)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err == ("refused: 100000000 peaks per side exceed the "
+                       "ceiling 10000\n")
+        assert peak_mib < 50
+
     def test_width_errors_name_the_flag(self, capsys, monkeypatch):
         forbid(monkeypatch, states, "convergence_study")
         for flag, argv in (("--envelope", ["--delta", "0.2",
@@ -620,23 +675,15 @@ class TestStdoutFailure:
         assert err.count("\n") == 1
 
 
-@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+@needs_wait4
 def test_search_memory_is_bounded(tmp_path):
     # 225 pairs per party give 50,624 rows; one bitmask of that many bits
     # per row took this search to 420 MiB
-    out_path = tmp_path / "out.txt"
-    with open(out_path, "wb") as out:
-        proc = subprocess.Popen(
-            CVGHZ + ["search", "--parties", "2", "--dim", "2",
-                     "--operators", "2", "--max-exp", "7"],
-            stdout=out, env=cvghz_env())
-        _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    assert proc.returncode == 0
-    assert out_path.read_text().startswith("2592 paradox class(es) found\n")
-    # ru_maxrss is in KiB on Linux and in bytes on macOS
-    peak_mib = usage.ru_maxrss / (2 ** 20 if sys.platform == "darwin"
-                                  else 2 ** 10)
+    code, out, _, peak_mib = run_measured(
+        tmp_path, ["search", "--parties", "2", "--dim", "2",
+                   "--operators", "2", "--max-exp", "7"])
+    assert code == 0
+    assert out.startswith("2592 paradox class(es) found\n")
     assert peak_mib < 120
 
 
@@ -770,14 +817,25 @@ class TestStandardLibraryOnly:
         assert runs[0].stdout == runs[1].stdout
 
 
-def test_bad_flags_exit_two(capsys):
+def test_bad_flags_exit_two(capsys, monkeypatch):
     # an unparsable value, then each value the search rejects; argparse
     # keeps the last occurrence of a repeated flag
+    argv = ["search", "--parties", "1", "--dim", "2", "--operators", "4",
+            "--max-exp", "1"]
     for bad in (["--parties", "x"], ["--max-exp", "0"], ["--dim", "1"],
                 ["--parties", "0"], ["--operators", "0"]):
-        code, out, _ = run(capsys, "search", "--parties", "1", "--dim", "2",
-                           "--operators", "4", "--max-exp", "1", *bad)
+        code, out, _ = run(capsys, *argv, *bad)
         assert (code, out) == (2, ""), bad
+    # a ceiling at or below 0 would refuse every search: it is malformed,
+    # and rejected before the search starts
+    assert run(capsys, *argv, "--max-space", "1")[0] == 3
+    assert run(capsys, *argv, "--max-space", "1e6")[0] == 1  # it ran
+    forbid(monkeypatch, paradox, "search")
+    for bad in ("0", "-0", "-1", "-inf"):
+        code, out, err = run(capsys, *argv, f"--max-space={bad}")
+        assert (code, out) == (2, ""), bad
+        assert err == (f"input error: --max-space must be > 0 and not NaN, "
+                       f"got {float(bad)}\n")
 
 
 class TestExitPolicy:

@@ -1,8 +1,10 @@
 """Clock-and-shift matrix checks against the symbolic algebra."""
 
 import cmath
+import gc
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvghz.oracle import (DimensionCeilingError, check_set,
-                          ghz_comb_eigenvalues, joint_eigenvector, monomial,
-                          represent)
+                          ghz_comb_eigenvalues, images, joint_eigenvector,
+                          monomial, represent)
 from cvghz.paradox import OperatorSet, builtin, set_from_rows, verify
 from cvghz.weyl import (LatticeParams, RationalPhase, WeylWord,
                         commutation_phase, dagger, identity_word, multiply)
@@ -176,7 +178,7 @@ class TestRepresent:
 
 class TestCheckSet:
     def test_v4(self):
-        report = check_set(builtin("v4"))
+        report = check_set(images(builtin("v4")))
         assert report.dimension == 8
         assert report.max_commutator_norm < 1e-10
         assert report.product_deviation < 1e-10
@@ -186,7 +188,7 @@ class TestCheckSet:
         # {X_A, Y_A} at d=2: Frobenius norm of [X, Y] = 2*sqrt(2),
         # cross-checked against the direct 2x2 computation
         rows = [((1, 0),), ((0, 1),)]
-        report = check_set(set_from_rows(2, rows))
+        report = check_set(images(set_from_rows(2, rows)))
         x, y = clock_and_shift(2)
         direct = np.linalg.norm(x @ y - y @ x)
         assert abs(report.max_commutator_norm - direct) < 1e-12
@@ -194,13 +196,13 @@ class TestCheckSet:
 
     def test_identity_set(self):
         s = set_from_rows(2, [((0, 0), (0, 0))])
-        report = check_set(s)
+        report = check_set(images(s))
         assert report.product_deviation < 1e-15
 
 
 class TestJointEigenvector:
     def test_v4_eigenvalue_product(self):
-        _, vals = joint_eigenvector(builtin("v4"), seed=0)
+        _, vals = joint_eigenvector(images(builtin("v4")), seed=0)
         assert len(vals) == 4
         for v in vals:
             assert abs(abs(v) - 1) < 1e-8
@@ -208,7 +210,7 @@ class TestJointEigenvector:
         assert abs(prod + 1) < 1e-8
 
     def test_w6_eigenvalue_product(self):
-        _, vals = joint_eigenvector(builtin("w6"), seed=0)
+        _, vals = joint_eigenvector(images(builtin("w6")), seed=0)
         assert len(vals) == 6
         for v in vals:
             assert abs(abs(v) - 1) < 1e-8
@@ -216,12 +218,12 @@ class TestJointEigenvector:
 
     def test_identity_set(self):
         s = set_from_rows(2, [((0, 0),)])
-        _, vals = joint_eigenvector(s, seed=1)
+        _, vals = joint_eigenvector(images(s), seed=1)
         assert abs(vals[0] - 1) < 1e-10
 
     def test_residual_is_small(self):
         s = builtin("v4")
-        v, vals = joint_eigenvector(s, seed=2)
+        v, vals = joint_eigenvector(images(s), seed=2)
         v = np.asarray(v)
         for w, lam in zip(s.operators, vals):
             m = represent(w)
@@ -230,18 +232,18 @@ class TestJointEigenvector:
     def test_noncommuting_rejected(self):
         s = set_from_rows(2, [((1, 0),), ((0, 1),)])
         with pytest.raises(ValueError):
-            joint_eigenvector(s)
+            joint_eigenvector(images(s))
 
     def test_negative_seed_rejected(self):
         # random.Random(-1) would silently run as seed 1
         with pytest.raises(ValueError, match="seed"):
-            joint_eigenvector(builtin("v4"), seed=-1)
+            joint_eigenvector(images(builtin("v4")), seed=-1)
 
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("name", ["v4", "w6"])
     def test_builtin_over_seeds(self, name, seed):
         s = builtin(name)
-        v, vals = joint_eigenvector(s, seed=seed)
+        v, vals = joint_eigenvector(images(s), seed=seed)
         v = np.asarray(v)
         assert abs(np.linalg.norm(v) - 1) < 1e-12
         for w, lam in zip(s.operators, vals):
@@ -251,8 +253,8 @@ class TestJointEigenvector:
         assert abs(np.prod(vals) - want) < 1e-8
 
     def test_same_seed_same_vector(self):
-        a, vals_a = joint_eigenvector(builtin("w6"), seed=7)
-        b, vals_b = joint_eigenvector(builtin("w6"), seed=7)
+        a, vals_a = joint_eigenvector(images(builtin("w6")), seed=7)
+        b, vals_b = joint_eigenvector(images(builtin("w6")), seed=7)
         assert np.array_equal(np.asarray(a), np.asarray(b))
         assert vals_a == vals_b
 
@@ -262,14 +264,34 @@ def test_padded_v4_at_dimension_2_pow_16():
     rows = [row + ((0, 0),) * 13 for row in builtin("v4").rows]
     s = set_from_rows(2, rows)
     start = time.perf_counter()
-    report = check_set(s, dim_ceiling=2 ** 16)
-    _, vals = joint_eigenvector(s, seed=0, dim_ceiling=2 ** 16)
+    imgs = images(s, dim_ceiling=2 ** 16)
+    report = check_set(imgs)
+    _, vals = joint_eigenvector(imgs, seed=0)
     assert time.perf_counter() - start < 5.0
     assert report.dimension == 2 ** 16
     assert report.max_commutator_norm < 1e-8
     assert report.product_deviation < 1e-8
     assert report.max_unitarity_defect < 1e-8
     assert abs(np.prod(vals) + 1) < 1e-8
+
+
+@pytest.mark.slow  # about 11 s, as tracemalloc slows every allocation
+def test_nothing_held_after_the_checks():
+    # the images of v4 padded to D = 2**16 take about 12 MiB; once the
+    # caller drops them, the oracle must keep none of them
+    rows = [row + ((0, 0),) * 13 for row in builtin("v4").rows]
+    tracemalloc.start()
+    try:
+        s = set_from_rows(2, rows)
+        imgs = images(s, dim_ceiling=2 ** 16)
+        check_set(imgs)
+        joint_eigenvector(imgs, seed=0)
+        del s, imgs
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 2 ** 20
 
 
 class TestGhzCombEigenvalues:

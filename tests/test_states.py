@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvghz import oracle, states
-from cvghz.paradox import builtin
-from cvghz.states import (OVERLAP_CUTOFF, GaussianComb, ProductStateSum,
-                          comb_matrix_element, comb_overlap,
+from cvghz.paradox import Refusal, builtin
+from cvghz.states import (MAX_PEAKS, OVERLAP_CUTOFF, GaussianComb,
+                          ProductStateSum, comb_matrix_element, comb_overlap,
                           convergence_study, ghz_state, make_comb,
                           state_norm, weyl_expectation)
 from cvghz.weyl import LatticeParams, RationalPhase, WeylWord, identity_word
@@ -117,6 +117,13 @@ class TestMakeComb:
     def test_bad_kind(self):
         with pytest.raises(ValueError):
             make_comb("sideways", 0.1, 3, 5.0)
+
+    def test_peak_ceiling(self):
+        # up to an envelope of about 259 the outermost admitted peaks
+        # already weigh exactly 0, so more of them would change nothing
+        assert make_comb("up", 0.2, MAX_PEAKS, 259.0).weights[0] == 0
+        with pytest.raises(Refusal, match="peaks per side"):
+            make_comb("up", 0.2, MAX_PEAKS + 1, 259.0)
 
 
 class TestGhzState:
