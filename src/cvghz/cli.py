@@ -25,6 +25,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 
 from . import paradox
 from .paradox import OperatorSet, Refusal
@@ -101,9 +102,9 @@ def set_from_dict(data: dict) -> OperatorSet:
 
 def _unique_keys(pairs: list) -> dict:
     """A JSON object's pairs as a dict; a repeated key is an input error."""
-    keys = [key for key, _ in pairs]
-    for key in keys:
-        if keys.count(key) > 1:
+    counts = Counter(key for key, _ in pairs)
+    for key, _ in pairs:  # name the first repeated key in file order
+        if counts[key] > 1:
             raise InputError(f"duplicate key {key!r}")
     return dict(pairs)
 

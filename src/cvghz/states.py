@@ -9,14 +9,17 @@ Gaussian peaks a lattice Weyl word acts factor by factor:
 with a0 = b0 = pi*sqrt(2/d), so Y translates the wavefunction argument by
 s = n*sqrt(2/d) (for d = 2, exactly the peak spacing) and X multiplies by a
 position phase. All overlaps and matrix elements between equal-width
-Gaussian peaks are evaluated in closed form, in plain Python.
+Gaussian peaks are evaluated in closed form, in plain Python. A comb's
+peaks sit on the unit lattice, so a matrix element between two combs
+takes at most len(bra) + len(ket) - 1 peak offsets, each one C-level pass.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from bisect import bisect_left, bisect_right
+from itertools import repeat
+from operator import add, mul
 
 from . import oracle
 from .paradox import Refusal, builtin
@@ -43,21 +46,24 @@ def _check_width(name: str, width: float, factor: float) -> None:
 class GaussianComb(_Frozen):
     """One-party state: weighted sum of Gaussian peaks of common width delta.
 
-    Each peak is the normalized wavefunction
-    (2*pi*delta^2)^(-1/4) * exp(-(x - center)^2 / (4*delta^2)), so delta is
-    the standard deviation of each peak's position distribution.
+    Peak k has weight weights[k] and center first + k. Each is the normalized
+    wavefunction (2*pi*delta^2)^(-1/4) * exp(-(x - center)^2 / (4*delta^2)),
+    so delta is the standard deviation of each peak's position distribution.
     """
 
-    __slots__ = ("centers", "weights", "delta")
+    __slots__ = ("first", "weights", "delta")
 
-    def __init__(self, centers: tuple[float, ...],
-                 weights: tuple[complex, ...], delta: float):
-        if not centers:
+    def __init__(self, first: float, weights: tuple, delta: float):
+        if not weights:
             raise ValueError("comb needs at least one peak")
-        if len(centers) != len(weights):
-            raise ValueError("centers and weights must have equal length")
+        if not math.isfinite(first):
+            raise ValueError(f"first must be finite; got {first!r}")
         _check_width("delta", delta, 8.0)
-        super().__init__(centers, weights, delta)
+        super().__init__(first, weights, delta)
+
+    @property
+    def centers(self) -> tuple[float, ...]:
+        return tuple([self.first + k for k in range(len(self.weights))])
 
 
 class ProductStateSum(_Frozen):
@@ -93,38 +99,40 @@ def comb_matrix_element(bra: GaussianComb, ket: GaussianComb,
         exp(-(a - b + s)^2 / (8 delta^2))
       * exp(i*mu*(a + b - s)/2) * exp(-mu^2 delta^2 / 2).
 
-    Pairs whose Gaussian factor is below OVERLAP_CUTOFF are dropped.  Only
-    pairs in the band |a - b + s| <= sqrt(8 delta^2 ln(1/OVERLAP_CUTOFF))
-    (about 17 delta) can pass it, so the sum runs over that band alone:
-    the shifted ket centers are sorted once and each bra peak finds its
-    band with `bisect`, costing O(P log P + pairs in the band) instead of
-    O(P^2) for P peaks.  The phase factors into e^{i*mu*a/2} per bra peak
-    and e^{i*mu*(b - s)/2} per ket peak.
+    Pairs whose Gaussian factor is below OVERLAP_CUTOFF are dropped; only
+    pairs with |a - b + s| <= sqrt(8 delta^2 ln(1/OVERLAP_CUTOFF)) (about
+    17 delta) can pass.  Bra peak i and ket peak i + k lie offset - k apart,
+    offset = bra.first - ket.first + s, so the band is one run of offsets k
+    for all bra peaks: at most len(bra) + len(ket) - 1 of them, each one exp
+    and one C-level pass over the peaks it pairs, in ket peak order.  The
+    phase factors into e^{i*mu*a/2} per bra peak, e^{i*mu*(b - s)/2} per ket.
     """
     if bra.delta != ket.delta:
         raise ValueError("matrix element requires equal peak widths")
     d2 = bra.delta * bra.delta
     scale = 8.0 * d2
     reach = math.sqrt(scale * math.log(1.0 / OVERLAP_CUTOFF))
-    # shifted ket centers, sorted by center alone: weights never compare
-    order = sorted(range(len(ket.centers)), key=ket.centers.__getitem__)
-    b = [ket.centers[k] - shift for k in order]
-    fb = [ket.weights[k] for k in order]
     fa = [w.conjugate() for w in bra.weights]
+    fb = ket.weights
     if mu:  # a pure translation has unit phases
         half = 0.5j * mu
-        fb = [w * cmath.exp(half * c) for c, w in zip(b, fb)]
+        fb = [w * cmath.exp(half * (c - shift))
+              for c, w in zip(ket.centers, fb)]
         fa = [w * cmath.exp(half * a) for a, w in zip(bra.centers, fa)]
+    offset = bra.first - ket.first + shift
+    lo = max(1 - len(fa), offset - reach)  # offsets that pair some peaks,
+    hi = min(len(fb) - 1, offset + reach)  # none if offset is infinite
+    band = [0j] * len(fa)
+    for k in range(math.ceil(lo), math.floor(hi) + 1) if lo <= hi else ():
+        gap = offset - k
+        gauss = math.exp(-gap * gap / scale)  # as the dense sum has it
+        if gauss >= OVERLAP_CUTOFF:
+            i, j = max(0, -k), min(len(fa), len(fb) - k)  # bra peaks i..j-1
+            band[i:j] = map(add, band[i:j],
+                            map(mul, repeat(gauss), fb[i + k:j + k]))
     total = 0j
-    for a, f in zip(bra.centers, fa):
-        lo = bisect_left(b, a - reach)
-        band = 0j
-        for j in range(lo, bisect_right(b, a + reach, lo)):
-            gap = a - b[j]
-            gauss = math.exp(-gap * gap / scale)  # as the dense sum has it
-            if gauss >= OVERLAP_CUTOFF:
-                band += gauss * fb[j]
-        total += f * band
+    for f, g in zip(fa, band):  # Python 3.14's sum() compensates complex sums
+        total += f * g
     return math.exp(-0.5 * mu * mu * d2) * total
 
 
@@ -132,7 +140,7 @@ def normalized_comb(comb: GaussianComb) -> GaussianComb:
     norm = math.sqrt(comb_overlap(comb, comb).real)
     if norm <= 0:
         raise ValueError("comb has zero norm")
-    return GaussianComb(comb.centers,
+    return GaussianComb(comb.first,
                         tuple(w / norm for w in comb.weights), comb.delta)
 
 
@@ -151,16 +159,11 @@ def make_comb(kind: str, delta: float, n_peaks: int,
     if n_peaks > MAX_PEAKS:
         raise Refusal(f"{n_peaks} peaks per side exceed the ceiling "
                       f"{MAX_PEAKS}")
-    odd_weight = 1j if kind == "up" else -1j
-    centers = []
-    weights = []
-    for k in range(-n_peaks, n_peaks + 1):
-        base = 1.0 if k % 2 == 0 else odd_weight
-        centers.append(float(k))
-        weights.append(base * math.exp(-k * k / (2.0 * envelope_width
-                                                 * envelope_width)))
-    return normalized_comb(GaussianComb(tuple(centers), tuple(weights),
-                                        delta))
+    odd = 1j if kind == "up" else -1j
+    var2 = 2.0 * envelope_width * envelope_width
+    weights = tuple([(1.0 if k % 2 == 0 else odd) * math.exp(-k * k / var2)
+                     for k in range(-n_peaks, n_peaks + 1)])
+    return normalized_comb(GaussianComb(float(-n_peaks), weights, delta))
 
 
 def state_norm(state: ProductStateSum) -> float:
@@ -183,11 +186,8 @@ def ghz_state(delta: float, n_peaks: int,
     up = make_comb("up", delta, n_peaks, envelope_width)
     down = make_comb("down", delta, n_peaks, envelope_width)
     amp = 1.0 / math.sqrt(2.0)
-    state = ProductStateSum((
-        (amp, (up, up, up)),
-        (-amp, (down, down, down)),
-    ))
-    return normalized_state(state)
+    return normalized_state(ProductStateSum(((amp, (up, up, up)),
+                                             (-amp, (down, down, down)))))
 
 
 def _word_action(word: WeylWord) -> list[tuple[float, float]]:

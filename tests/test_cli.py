@@ -133,6 +133,24 @@ class TestFileFormat:
         assert (code, out) == (2, "")
         assert err == "input error: duplicate key 'd'\n"
 
+    def test_many_keys_checked_in_linear_time(self, capsys, tmp_path):
+        # 30,000 keys took about 15 s when every key was counted afresh
+        data = cli.set_to_dict(builtin("v4"))
+        data.update((f"k{i}", i) for i in range(30_000))
+        text = json.dumps(data)
+        path = tmp_path / "wide.json"
+        path.write_text(text)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--file", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (0, "")
+        # k3 occurs first in the file of the two keys repeated at its end
+        path.write_text(text[:-1] + ', "k7": 0, "k3": 0}')
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--file", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (2, "", "input error: duplicate key 'k3'\n")
+
 
 class TestVerify:
     def test_v4_exit_zero(self, capsys):
@@ -578,6 +596,32 @@ class TestSimulate:
         run(capsys, "simulate", "--delta", "0.1,0.05", "--out", str(a))
         run(capsys, "simulate", "--delta", "0.1,0.05", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("argv, size, digest", [
+        (["0.2,0.1,0.05"], 523, "c9055ec9c5e7131b094cd5e454af8707"
+                                "8c551510fbe01000b741e0c5101b7b37"),
+        (["0.2,0.1,0.05,0.02,0.01,0.005", "--peaks", "120", "--envelope",
+          "40"], 995, "90e21af94ae144ef6cdd4a160fecee7e"
+                      "ffd2a03c276de6ce81e292580b2a3a41"),
+    ], ids=["default", "benchmark"])
+    def test_simulate_listing_pinned(self, capsys, argv, size, digest):
+        # the noise-level imaginary cells move with any reordering of the
+        # floating-point sums over peak pairs
+        code, out, err = run(capsys, "simulate", "--delta", *argv)
+        assert (code, err, len(out.encode())) == (0, "", size)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_wide_peaks_sum_few_offsets(self, capsys):
+        # the band reaches about 1.7e151 peaks either way, but only the
+        # 13 offsets that pair some of the 7 peaks are summed
+        start = time.perf_counter()
+        code, out, err = run(capsys, "simulate", "--delta", "1e150",
+                             "--peaks", "3")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (
+            1, "delta,re_V1,im_V1,re_V2,im_V2,re_V3,im_V3,re_V4,im_V4,"
+               "deviation\n1e+150,0,0,0,0,0,0,0,0,1\n",
+            "check failed: final deviation 1 >= 0.05\n")
 
 
 needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"),

@@ -3,8 +3,8 @@
 import cmath
 import gc
 import math
+import sys
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -275,23 +275,20 @@ def test_padded_v4_at_dimension_2_pow_16():
     assert abs(np.prod(vals) + 1) < 1e-8
 
 
-@pytest.mark.slow  # about 11 s, as tracemalloc slows every allocation
 def test_nothing_held_after_the_checks():
-    # the images of v4 padded to D = 2**16 take about 12 MiB; once the
-    # caller drops them, the oracle must keep none of them
+    # the images of v4 padded to D = 2**16 take about 12 MiB in some 260,000
+    # interpreter blocks; once the caller drops them, the oracle must keep
+    # none of them
     rows = [row + ((0, 0),) * 13 for row in builtin("v4").rows]
-    tracemalloc.start()
-    try:
-        s = set_from_rows(2, rows)
-        imgs = images(s, dim_ceiling=2 ** 16)
-        check_set(imgs)
-        joint_eigenvector(imgs, seed=0)
-        del s, imgs
-        gc.collect()
-        held, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert held < 2 ** 20
+    gc.collect()
+    before = sys.getallocatedblocks()
+    s = set_from_rows(2, rows)
+    imgs = images(s, dim_ceiling=2 ** 16)
+    check_set(imgs)
+    joint_eigenvector(imgs, seed=0)
+    del s, imgs
+    gc.collect()
+    assert sys.getallocatedblocks() - before < 10_000
 
 
 class TestGhzCombEigenvalues:

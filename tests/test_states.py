@@ -66,11 +66,12 @@ def word1(m, n, phase=RationalPhase(0)):
 class TestMakeComb:
     def test_trivial_truncation(self):
         c = make_comb("up", 0.1, 0, 10.0)
-        assert c.centers == (0.0,)
+        assert (c.first, c.centers) == (0.0, (0.0,))
         assert abs(c.weights[0] - 1.0) < 1e-12
 
     def test_weight_pattern(self):
         c = make_comb("up", 0.05, 3, 1e6)  # effectively flat envelope
+        assert c.centers == (-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0)
         # weights alternate 1, i, 1, i ... up to common normalization;
         # normalize against the k=0 peak (index n_peaks)
         base = c.weights[3]
@@ -149,31 +150,27 @@ class TestGhzState:
             assert abs(a - b) < 1e-10
 
 
-# unsorted centers, with repeats (integers) and off-lattice values
-_centers = st.lists(st.one_of(st.integers(-20, 20).map(float),
-                              st.floats(-20, 20)), min_size=1, max_size=12)
-_weights = st.complex_numbers(max_magnitude=10, allow_nan=False,
-                              allow_infinity=False)
+# lattice combs whose peaks lie in [-20, 20), starting on and off the
+# integers, so that an integer shift pairs their peaks exactly or not at all
+_first = st.one_of(st.integers(-20, 8).map(float), st.floats(-20, 8))
+_weights = st.lists(st.complex_numbers(max_magnitude=10, allow_nan=False,
+                                       allow_infinity=False),
+                    min_size=1, max_size=12)
 
 
 @st.composite
 def comb_pairs(draw):
     delta = draw(st.floats(1e-3, 1))
-    combs = []
-    for _ in range(2):
-        centers = draw(_centers)
-        weights = draw(st.lists(_weights, min_size=len(centers),
-                                max_size=len(centers)))
-        combs.append(GaussianComb(tuple(centers), tuple(weights), delta))
-    return combs
+    return [GaussianComb(draw(_first), tuple(draw(_weights)), delta)
+            for _ in range(2)]
 
 
 class TestBandedMatrixElement:
     @settings(max_examples=200, deadline=None)
     @given(comb_pairs(), st.floats(-10, 10),
            # |shift| >= 60 puts every pair outside the band
-           st.one_of(st.floats(-5, 5), st.floats(60, 100),
-                     st.floats(-100, -60)))
+           st.one_of(st.integers(-40, 40), st.floats(-5, 5),
+                     st.floats(60, 100), st.floats(-100, -60)))
     def test_matches_dense_reference(self, combs, mu, shift):
         bra, ket = combs
         got = comb_matrix_element(bra, ket, mu, shift)
@@ -187,19 +184,20 @@ class TestBandedMatrixElement:
             assert got == 0
 
     def test_peaks_on_both_band_edges_kept(self):
-        # ket peaks exactly at a - reach and a + reach: a pair on the
-        # edge is summed whenever the cutoff keeps it
+        # one-peak combs shifted exactly reach apart, either way: a pair on
+        # the edge of the band is summed whenever the cutoff keeps it
         kept = 0
         for delta in np.linspace(0.01, 1.0, 40):
             reach = math.sqrt(8.0 * delta * delta
                               * math.log(1.0 / OVERLAP_CUTOFF))
-            bra = GaussianComb((0.0,), (1.0,), delta)
-            ket = GaussianComb((-reach, reach), (1.0, 2.0), delta)
-            want = reference_comb_matrix_element(bra, ket, 0.0, 0.0)
-            if want == 0:
-                continue
-            kept += 1
-            assert comb_matrix_element(bra, ket, 0.0, 0.0) == want
+            bra = GaussianComb(0.0, (1.0,), delta)
+            ket = GaussianComb(0.0, (2.0,), delta)
+            for shift in (-reach, reach):
+                want = reference_comb_matrix_element(bra, ket, 0.0, shift)
+                if want == 0:
+                    continue
+                kept += 1
+                assert comb_matrix_element(bra, ket, 0.0, shift) == want
         assert kept
 
 
@@ -234,8 +232,8 @@ class TestWeylExpectation:
     def test_shared_elements_match_unshared(self):
         # an asymmetric comb, so that <c|T_s|c> and <c|T_-s|c> differ,
         # repeated over parties that the words shift both ways
-        c = GaussianComb((0.0, 1.0, 2.5), (1.0, 1j, 0.5 - 0.5j), 0.4)
-        d = GaussianComb((-1.0, 0.5), (2.0, -1j), 0.4)
+        c = GaussianComb(0.0, (1.0, 1j, 0.5 - 0.5j), 0.4)
+        d = GaussianComb(-0.5, (2.0, -1j), 0.4)
         state = ProductStateSum(((1.0, (c, c, d)), (0.5j, (d, c, c))))
         for exps in ([(0, 1), (0, -1), (0, 1)], [(1, 0), (-1, 0), (0, 0)],
                      [(1, 1), (1, -1), (-1, 1)]):
@@ -352,14 +350,21 @@ class TestConvergence:
 class TestValidation:
     def test_comb_invariants(self):
         with pytest.raises(ValueError):
-            GaussianComb((), (), 0.1)
+            GaussianComb(0.0, (), 0.1)
         with pytest.raises(ValueError):
-            GaussianComb((0.0,), (1.0,), -0.1)
-        with pytest.raises(ValueError):
-            GaussianComb((0.0, 1.0), (1.0,), 0.1)
+            GaussianComb(0.0, (1.0,), -0.1)
+        for first in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                GaussianComb(first, (1.0,), 0.1)
         for delta in (1e-300, 1e200, math.nan):
             with pytest.raises(ValueError, match="finite"):
-                GaussianComb((0.0,), (1.0,), delta)
+                GaussianComb(0.0, (1.0,), delta)
+
+    def test_centers_derived_and_read_only(self):
+        c = GaussianComb(-1.5, (1.0, 1j, 2.0), 0.1)
+        assert c.centers == (-1.5, -0.5, 0.5)
+        with pytest.raises(AttributeError):
+            c.centers = (0.0, 1.0, 2.0)
 
     def test_overlap_requires_equal_width(self):
         a = make_comb("up", 0.05, 2, 5.0)

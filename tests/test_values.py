@@ -12,8 +12,8 @@ from cvghz.states import ConvergenceRow, GaussianComb, ProductStateSum
 from cvghz.weyl import LatticeParams, RationalPhase, WeylWord
 
 P2 = LatticeParams(2)
-COMB = GaussianComb((0.0, 1.0), (1 + 0j, 1j), 0.5)
-COMB_REPR = "GaussianComb(centers=(0.0, 1.0), weights=((1+0j), 1j), delta=0.5)"
+COMB = GaussianComb(-0.5, (1 + 0j, 1j), 0.5)
+COMB_REPR = "GaussianComb(first=-0.5, weights=((1+0j), 1j), delta=0.5)"
 ZERO_REPR = "RationalPhase(numerator=0, denominator=1)"
 
 # (class, field values in order, repr as the frozen dataclasses printed it)
@@ -37,7 +37,7 @@ CASES = [
     (OracleReport, (4, 0.0, 1e-16, 2.5e-17),
      "OracleReport(dimension=4, max_commutator_norm=0.0, "
      "product_deviation=1e-16, max_unitarity_defect=2.5e-17)"),
-    (GaussianComb, ((0.0, 1.0), (1 + 0j, 1j), 0.5), COMB_REPR),
+    (GaussianComb, (-0.5, (1 + 0j, 1j), 0.5), COMB_REPR),
     (ProductStateSum, (((0.5 + 0j, (COMB,)),),),
      f"ProductStateSum(terms=(((0.5+0j), ({COMB_REPR},)),))"),
     (ConvergenceRow, (0.1, (1j, -0.5 + 0j), 0.25),
@@ -169,11 +169,11 @@ def test_post_init_checks_kept():
     with pytest.raises(ValueError):
         LhvAssignment((float("nan"),), (0.0,))
     with pytest.raises(ValueError):
-        GaussianComb((), (), 0.5)
+        GaussianComb(0.0, (), 0.5)
     with pytest.raises(ValueError):
-        GaussianComb((0.0,), (1j, 1j), 0.5)
+        GaussianComb(float("inf"), (1j, 1j), 0.5)
     with pytest.raises(ValueError):
-        GaussianComb((0.0,), (1j,), 0.0)
+        GaussianComb(0.0, (1j,), 0.0)
     with pytest.raises(ValueError):
         ProductStateSum(())
     with pytest.raises(ValueError):
