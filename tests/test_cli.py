@@ -19,7 +19,7 @@ except ImportError:  # not on Windows
     resource = None
 
 import cvghz
-from cvghz import cli, oracle, paradox, states
+from cvghz import cli, oracle, orderly, paradox, states
 from cvghz.paradox import builtin
 
 
@@ -273,7 +273,7 @@ class TestSearch:
     ], ids=["rows-squared", "multisets", "multisets-not-computed",
             "rows-not-computed"])
     def test_refusal_beyond_float_range(self, capsys, monkeypatch, argv):
-        forbid(monkeypatch, paradox, "_tables")
+        forbid(monkeypatch, orderly, "tables")
         start = time.perf_counter()
         code, out, err = run(capsys, "search", "--dim", "2", *argv)
         assert time.perf_counter() - start < 1.0
@@ -316,9 +316,9 @@ class TestSearch:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_walk_deeper_than_the_stack_refused(self, capsys, monkeypatch):
-        # _walk nests one call per operator; the default ceiling would
+        # the walk nests one call per operator; the default ceiling would
         # refuse this by its size alone
-        forbid(monkeypatch, paradox, "_tables")
+        forbid(monkeypatch, orderly, "tables")
         start = time.perf_counter()
         code, out, err = run(capsys, "search", "--parties", "1", "--dim",
                              "2", "--operators", "1100", "--max-exp", "1",
@@ -797,6 +797,19 @@ class TestStartup:
         for path in sorted(Path(cvghz.__file__).parent.glob("*.py")):
             visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, ())
         assert found == ["oracle.represent"]
+
+    @pytest.mark.parametrize("code,want", zip(STARTUP_CODES + [
+        "from cvghz import cli; cli.main(['search', '--parties', '4', "
+        "'--dim', '2', '--operators', '6', '--max-exp', '2', "
+        "'--max-space', '1e6'])",
+    ], [[], [], [], ["cvghz.orderly"], ["cvghz.oracle"], ["cvghz.oracle"],
+        ["cvghz.oracle", "cvghz.states"], []], strict=True))
+    def test_modules_loaded_only_where_needed(self, code, want):
+        # the search's walk, the oracle and the comb states are imported
+        # only by the subcommands that run them; a refused search (the
+        # last code) never reaches the walk
+        assert loaded(code, ["cvghz.orderly", "cvghz.oracle",
+                             "cvghz.states"]) == want
 
     @pytest.mark.parametrize("code", STARTUP_CODES)
     def test_slow_imports_not_loaded(self, code):

@@ -10,11 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvghz import paradox
+from cvghz import orderly
 from cvghz.paradox import (LhvAssignment, OperatorSet, SearchSpaceError,
-                           builtin, canonical_rows, canonicalize,
-                           column_sums, lhv_value, search, set_from_rows,
-                           verify)
+                           builtin, canonical_rows, column_sums, lhv_value,
+                           search, set_from_rows, verify)
 from cvghz.weyl import LatticeParams, RationalPhase, WeylWord
 
 HALF = RationalPhase(1, 2)
@@ -58,8 +57,13 @@ class TestOperatorSet:
             OperatorSet(LatticeParams(2), ())
 
     def test_ragged_matrix_rejected(self):
+        rows = [((1, 0), (0, 1)), ((1, 0),)]
         with pytest.raises(ValueError, match="party count"):
-            set_from_rows(2, [((1, 0), (0, 1)), ((1, 0),)])
+            set_from_rows(2, rows)
+        # library callers pass rows to canonical_rows directly
+        for ragged in (rows, rows[::-1]):
+            with pytest.raises(ValueError):
+                canonical_rows(ragged)
 
     def test_operators_are_the_rows_as_phase_free_words(self):
         s = set_from_rows(3, [[[1, 2], [0, -1]], [[-1, 0], [2, 2]]])
@@ -203,11 +207,11 @@ class TestCanonicalization:
         assert canonical_rows(relabeled) == canonical_rows(rows)
 
     def test_idempotent(self):
-        s = canonicalize(builtin("v4"))
-        assert canonicalize(s).rows == s.rows
+        rows = canonical_rows(builtin("v4").rows)
+        assert canonical_rows(rows) == rows
 
     def test_keeps_params_and_name(self):
-        s = canonicalize(builtin("w6"))
+        s = set_from_rows(4, canonical_rows(builtin("w6").rows), "w6")
         assert (s.params, s.name) == (builtin("w6").params, "w6")
         assert s.rows == canonical_rows(builtin("w6").rows)
 
@@ -224,13 +228,14 @@ class TestCanonicalization:
     def test_shared_memo_gives_the_same_forms(self):
         # `search` shares one memo between all its hits
         hits = []
-        paradox._walk(paradox._tables(4, 3, 4, UNIT_PAIRS), hits.append)
+        orderly.walk(orderly.tables(4, 3, 4, UNIT_PAIRS), hits.append)
         memo = {}
         assert [canonical_rows(rows, memo) for rows in hits] \
             == [canonical_rows(rows) for rows in hits]
 
     def test_preserves_paradox(self):
-        assert verify(canonicalize(builtin("v4"))).is_paradox
+        rows = canonical_rows(builtin("v4").rows)
+        assert verify(set_from_rows(2, rows)).is_paradox
 
 
 def reference_search(d, n_parties, n_operators, max_exponent,
@@ -336,10 +341,10 @@ class TestSearch:
         # sorted form, and no other row's folded key is below r
         closed = pairs is None or all((-m, -n) in pairs for m, n in pairs)
         fold = (lambda e: min(e, (-e[0], -e[1]))) if closed else (lambda e: e)
-        tables = paradox._tables(d, n_parties, n_operators,
-                                 sorted(pairs or UNIT_PAIRS))
+        tables = orderly.tables(d, n_parties, n_operators,
+                                sorted(pairs or UNIT_PAIRS))
         hits = []
-        paradox._walk(tables, hits.append)
+        orderly.walk(tables, hits.append)
         assert hits
         for rows in hits:
             first = min(rows)
@@ -362,7 +367,7 @@ class TestSearch:
         assert results
         for s in results:
             assert verify(s).is_paradox
-            assert canonicalize(s).rows == s.rows
+            assert canonical_rows(s.rows) == s.rows
 
     def test_deterministic(self):
         a = search(LatticeParams(2), 2, 3, 1)
@@ -445,12 +450,12 @@ def raw_count(d, n_parties, n_operators, pairs):
     pairs = sorted(set(map(tuple, pairs)))
     if len(pairs) ** n_parties - ((0, 0) in pairs) == 0:
         return 0
-    tables = paradox._tables(d, n_parties, n_operators, pairs)
+    tables = orderly.tables(d, n_parties, n_operators, pairs)
     fields = dict(zip(tables.__slots__, tables._fields()))
     fields["first_rows"] = (1 << len(tables.rows)) - 1
     hits = []
-    paradox._walk(paradox._SearchTables(**fields),
-                  lambda rows: hits.append(tuple(sorted(rows))))
+    orderly.walk(orderly.Tables(**fields),
+                 lambda rows: hits.append(tuple(sorted(rows))))
     assert len(set(hits)) == len(hits)  # each multiset once
     return len(hits)
 
@@ -502,10 +507,10 @@ class TestOrbitCount:
 
 def walk_hits(d, n_parties, n_operators, pairs):
     """The hits of the search's own walk, each as a sorted multiset."""
-    tables = paradox._tables(d, n_parties, n_operators,
-                             sorted(set(map(tuple, pairs))))
+    tables = orderly.tables(d, n_parties, n_operators,
+                            sorted(set(map(tuple, pairs))))
     hits = set()
-    paradox._walk(tables, lambda rows: hits.add(tuple(sorted(rows))))
+    orderly.walk(tables, lambda rows: hits.add(tuple(sorted(rows))))
     return hits
 
 
@@ -523,7 +528,7 @@ class TestCanonicalFormsAreHits:
     paradox row multiset over the alphabet. Its least row R0 is the least
     key of its rows, and key(R0) = R0, so R0 is a first row. Every other
     row r of C has key(r) >= R0, so its index is at least R0's. That is the
-    first-row form in which `_walk` visits every paradox multiset.
+    first-row form in which `orderly.walk` visits every paradox multiset.
     """
 
     @pytest.mark.parametrize("d,classes,hits", [
@@ -560,8 +565,8 @@ def test_search_rediscovers_w6_pattern():
     pairs = [(1, 0), (-1, 0), (0, 1), (0, -3)]
     results = search(LatticeParams(4), 5, 6, 3, allowed_pairs=pairs,
                      space_ceiling=1e14)
-    target = canonicalize(builtin("w6"))
-    assert target.rows in {s.rows for s in results}
+    target = canonical_rows(builtin("w6").rows)
+    assert target in {s.rows for s in results}
     for s in results:
         assert verify(s).is_paradox
     # the raw walk that gives R = 2,048 takes about 13 s, so R is pinned
