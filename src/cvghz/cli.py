@@ -167,8 +167,8 @@ def render_word(word: WeylWord) -> str:
 _PIPE_BUF = 4096  # POSIX: a pipe write of at most this size is atomic
 
 
-def _write_blocks(chunks, out) -> None:
-    """Write ASCII chunks to `out` in blocks of at most PIPE_BUF bytes.
+def _write(chunks) -> None:
+    """Write ASCII chunks to stdout in blocks of at most PIPE_BUF bytes.
 
     Under PYTHONUNBUFFERED, stdout's text layer drops the rest of a short
     write, as a pipe whose reader leaves can make of a larger one.
@@ -176,10 +176,21 @@ def _write_blocks(chunks, out) -> None:
     block = ""
     for chunk in chunks:
         block += chunk
-        while len(block) >= _PIPE_BUF:
-            out.write(block[:_PIPE_BUF])
-            block = block[_PIPE_BUF:]
-    out.write(block)
+        if len(block) >= _PIPE_BUF:  # sliced by index: linear time
+            for start in range(0, len(block) - _PIPE_BUF + 1, _PIPE_BUF):
+                sys.stdout.write(block[start:start + _PIPE_BUF])
+            block = block[start + _PIPE_BUF:]
+    sys.stdout.write(block)
+    sys.stdout.flush()  # so that a failed write raises here
+
+
+def _write_file(path: str, text: str) -> None:
+    """Write text to the file at path; a failure is an input error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
 
 
 def report_to_dict(op_set: OperatorSet,
@@ -200,26 +211,24 @@ def report_to_dict(op_set: OperatorSet,
     }
 
 
-def print_report(op_set: OperatorSet, report: paradox.ParadoxReport,
-                 out) -> None:
+def report_lines(op_set: OperatorSet, report: paradox.ParadoxReport):
+    """The lines of `verify`'s human-readable report."""
     name = op_set.name or "(unnamed)"
-    print(f"operator set {name}: d={op_set.params.d}, "
-          f"{op_set.n_parties} parties, {len(op_set.operators)} operators",
-          file=out)
+    yield (f"operator set {name}: d={op_set.params.d}, "
+           f"{op_set.n_parties} parties, {len(op_set.operators)} operators\n")
     for i, w in enumerate(op_set.operators, start=1):
-        print(f"  [{i}] {render_word(w)}", file=out)
-    print(f"  all pairs commute:   {report.is_commuting}", file=out)
-    print(f"  column sums zero:    {report.is_lhv_trivial} "
-          f"{list(map(list, report.column_sums))}", file=out)
+        yield f"  [{i}] {render_word(w)}\n"
+    yield f"  all pairs commute:   {report.is_commuting}\n"
+    yield (f"  column sums zero:    {report.is_lhv_trivial} "
+           f"{list(map(list, report.column_sums))}\n")
     if report.product_phase is not None:
         scalar = report.product_phase.to_complex()
-        print(f"  product:             scalar, phase "
-              f"{report.product_phase} turn ({_fmt_complex(scalar)})",
-              file=out)
+        yield (f"  product:             scalar, phase "
+               f"{report.product_phase} turn ({_fmt_complex(scalar)})\n")
     else:
-        print(f"  product:             not scalar "
-              f"({render_word(report.product)})", file=out)
-    print(f"  GHZ paradox:         {report.is_paradox}", file=out)
+        yield (f"  product:             not scalar "
+               f"({render_word(report.product)})\n")
+    yield f"  GHZ paradox:         {report.is_paradox}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +238,9 @@ def cmd_verify(args) -> int:
     op_set = load_set(args.set, args.file)
     report = paradox.verify(op_set)
     if args.json:
-        print(json.dumps(report_to_dict(op_set, report), indent=2))
+        _write([json.dumps(report_to_dict(op_set, report), indent=2), "\n"])
     else:
-        print_report(op_set, report, sys.stdout)
+        _write(report_lines(op_set, report))
     return EXIT_OK if report.is_paradox else EXIT_NEGATIVE
 
 
@@ -257,14 +266,9 @@ def cmd_search(args) -> int:
         except OSError as exc:
             raise InputError(f"cannot create {args.emit}: {exc}") from None
         for i, op_set in enumerate(results):
-            path = os.path.join(args.emit, f"paradox_{i:04d}.json")
-            try:
-                with open(path, "w", encoding="utf-8") as fh:
-                    json.dump(set_to_dict(op_set), fh, indent=2)
-                    fh.write("\n")
-            except OSError as exc:
-                raise InputError(f"cannot write {path}: {exc}") from None
-    _write_blocks(_listing(args.dim, results), sys.stdout)
+            _write_file(os.path.join(args.emit, f"paradox_{i:04d}.json"),
+                        json.dumps(set_to_dict(op_set), indent=2) + "\n")
+    _write(_listing(args.dim, results))
     return EXIT_OK if results else EXIT_NEGATIVE
 
 
@@ -320,15 +324,15 @@ def cmd_oracle(args) -> int:
         if eig_lines:
             data.update(eig_lines)
         data["pass"] = ok
-        print(json.dumps(data, indent=2))
+        _write([json.dumps(data, indent=2), "\n"])
     else:
-        for key, val in lines.items():
-            print(f"  {key}: {val}")
+        text = [f"  {key}: {val}\n" for key, val in lines.items()]
         if eig_lines:
-            print(f"  joint eigenvalues: "
-                  f"{', '.join(eig_lines['eigenvalues'])}")
-            print(f"  eigenvalue product: {eig_lines['eigenvalue_product']}")
-        print(f"  pass: {ok}")
+            text.append(f"  joint eigenvalues: "
+                        f"{', '.join(eig_lines['eigenvalues'])}\n"
+                        f"  eigenvalue product: "
+                        f"{eig_lines['eigenvalue_product']}\n")
+        _write(text + [f"  pass: {ok}\n"])
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 
@@ -348,8 +352,10 @@ def cmd_simulate(args) -> int:
         states._check_width("--delta", delta, 8.0)
     states._check_width("--envelope", args.envelope, 2.0)
     # --out is opened only after the study has accepted every argument, so
-    # that a rejected run leaves the file as it was; a missing directory
-    # costs no study
+    # that a rejected run leaves the file as it was; a missing directory,
+    # or a directory in its place, costs no study
+    if args.out and os.path.isdir(args.out):
+        raise InputError(f"cannot write {args.out}: is a directory")
     if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
         raise InputError(f"cannot write {args.out}: no such directory")
     rows = states.convergence_study(deltas, n_peaks=args.peaks,
@@ -367,13 +373,9 @@ def cmd_simulate(args) -> int:
         lines.append(",".join(cells))
     text = "\n".join(lines) + "\n"
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise InputError(f"cannot write {args.out}: {exc}") from None
+        _write_file(args.out, text)
     else:
-        sys.stdout.write(text)  # a failure here is reported by `main`
+        _write([text])  # before any verdict goes to stderr
     monotone = all(a.deviation >= b.deviation - 1e-12
                    for a, b in zip(rows, rows[1:]))
     final_ok = rows[-1].deviation < args.max_dev
@@ -445,9 +447,7 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on bad flags, matching the input-error contract
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
-        code = args.func(args)
-        sys.stdout.flush()  # so that a failed write is caught here
-        return code
+        return args.func(args)
     except Refusal as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
@@ -455,11 +455,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:
-        # The subcommands turn a failure on any file they open into an
-        # InputError, so this is a failed stdout write: a full disk, or a
-        # reader that closed the pipe. Python flushes stdout again at exit,
-        # so point it at devnull first, as the `signal` docs' note on
-        # SIGPIPE does.
+        # A failed `_write`, since a file that a subcommand opens fails as
+        # an InputError: a full disk, or a reader that closed the pipe.
+        # Python flushes stdout again at exit, so point it at devnull first,
+        # as the `signal` docs' note on SIGPIPE does.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)

@@ -544,6 +544,14 @@ class TestSimulate:
         assert err.startswith("input error: ") and err.count("\n") == 1
         assert not (tmp_path / "missing").exists()
 
+    def test_out_directory_rejected_before_study(
+            self, capsys, monkeypatch, tmp_path):
+        forbid(monkeypatch, states, "convergence_study")
+        code, out, err = run(capsys, "simulate", "--delta", "0.05",
+                             "--out", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err == f"input error: cannot write {tmp_path}: is a directory\n"
+
     @pytest.mark.parametrize("argv", [
         ["--delta", "0.1,0.2"],
         ["--delta", "0.2", "--envelope", "1e-300"],
@@ -631,6 +639,23 @@ needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"),
 ACCEPTANCE_6 = ["search", "--parties", "3", "--dim", "2", "--operators", "4",
                 "--max-exp", "1"]
 
+# a CSV of 73,650 bytes, more than a pipe's 64 KiB buffer, in about 0.5 s
+SIMULATE_500 = ["simulate", "--delta", ",".join(
+    format(0.5 - i * 0.0009, ".4g") for i in range(500)),
+    "--peaks", "1", "--max-dev", "10"]
+
+
+def grid_set(tmp_path) -> str:
+    """A file of the 121 one-party d=2 operators with |m|, |n| <= 5.
+
+    `verify --json` prints its 14,641 pairwise phases in about 190 KB.
+    """
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"d": 2, "parties": 1, "operators": [
+        [[m, n]] for m in range(-5, 6) for n in range(-5, 6)]}))
+    return str(path)
+
+
 # stdout is a buffered writer without PYTHONUNBUFFERED and a raw file with it
 UNBUFFERED = [None, "1"]
 
@@ -643,6 +668,25 @@ def stdout_env(unbuffered: str | None) -> dict:
     return env
 
 
+def recorded_writes(monkeypatch, argv, code) -> list[str]:
+    """The strings that `main(argv)`, exiting with code, writes to stdout."""
+    class Recorder:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, text):
+            self.writes.append(text)
+
+        def flush(self):
+            pass
+
+    out = Recorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert cli.main(argv) == code
+    monkeypatch.undo()
+    return out.writes
+
+
 class TestStdoutFailure:
     """An output that cannot be written exits 2 with one stderr line."""
 
@@ -651,31 +695,39 @@ class TestStdoutFailure:
         ["verify", "--set", "v4"],
         ["search", "--parties", "3", "--dim", "2", "--operators", "3",
          "--max-exp", "1"],
-        ["simulate", "--delta", "0.2"],
+        ["simulate", "--delta", "0.2"],  # fails its check, after the write
+        ["oracle", "--set", "v4"],
     ])
     def test_full_device(self, argv):
-        with open("/dev/full", "w") as full:
-            proc = subprocess.run(CVGHZ + argv, stdout=full, text=True,
-                                  stderr=subprocess.PIPE, env=cvghz_env())
-        assert proc.returncode == 2
-        assert proc.stderr == ("input error: cannot write stdout: "
-                               "[Errno 28] No space left on device\n")
-
-    def test_reader_closes_pipe(self):
-        # as `| head -1`: the output (2,758 classes) is far larger than
-        # the pipe's buffer, so the search is still writing when the
-        # reader goes away
         for unbuffered in UNBUFFERED:
-            proc = subprocess.Popen(
-                CVGHZ + ACCEPTANCE_6, stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE, env=stdout_env(unbuffered))
-            assert proc.stdout.readline() == b"2758 paradox class(es) found\n"
-            proc.stdout.close()
-            err = proc.stderr.read()
-            proc.stderr.close()
-            assert (unbuffered, proc.wait()) == (unbuffered, 2)
-            assert err == b"input error: cannot write stdout: [Errno 32] " \
-                          b"Broken pipe\n"
+            with open("/dev/full", "w") as full:
+                proc = subprocess.run(CVGHZ + argv, stdout=full, text=True,
+                                      stderr=subprocess.PIPE,
+                                      env=stdout_env(unbuffered))
+            assert (unbuffered, proc.returncode) == (unbuffered, 2)
+            assert proc.stderr == ("input error: cannot write stdout: "
+                                   "[Errno 28] No space left on device\n")
+
+    def test_reader_closes_pipe(self, tmp_path):
+        # as `| head -1`: each output is larger than the pipe's buffer,
+        # so the command is still writing when the reader goes away
+        for argv, first in (
+                (ACCEPTANCE_6, b"2758 paradox class(es) found\n"),
+                (SIMULATE_500, b"delta,re_V1,im_V1,re_V2,im_V2,re_V3,im_V3,"
+                               b"re_V4,im_V4,deviation\n"),
+                (["verify", "--json", "--file", grid_set(tmp_path)], b"{\n")):
+            for unbuffered in UNBUFFERED:
+                proc = subprocess.Popen(
+                    CVGHZ + argv, stdout=subprocess.PIPE,
+                    stderr=subprocess.PIPE, env=stdout_env(unbuffered))
+                assert proc.stdout.readline() == first
+                proc.stdout.close()
+                err = proc.stderr.read()
+                proc.stderr.close()
+                assert (argv[0], unbuffered, proc.wait()) \
+                    == (argv[0], unbuffered, 2)
+                assert err == b"input error: cannot write stdout: " \
+                              b"[Errno 32] Broken pipe\n"
 
     def test_full_listing_through_a_pipe(self, capsys):
         # 381,035 bytes, read to the end: the same bytes as in-process
@@ -690,25 +742,22 @@ class TestStdoutFailure:
 
     def test_search_writes_whole_pipe_blocks(self, monkeypatch):
         # a pipe write of at most PIPE_BUF (4,096) bytes is never cut short
-        class Recorder:
-            def __init__(self):
-                self.writes = []
-
-            def write(self, text):
-                self.writes.append(text)
-
-            def flush(self):
-                pass
-
-        out = Recorder()
-        monkeypatch.setattr(sys, "stdout", out)
-        assert cli.main(["search", "--parties", "3", "--dim", "2",
-                         "--operators", "3", "--max-exp", "1"]) == 0
-        monkeypatch.undo()
-        text = "".join(out.writes)
+        writes = recorded_writes(monkeypatch, [
+            "search", "--parties", "3", "--dim", "2", "--operators", "3",
+            "--max-exp", "1"], 0)
+        text = "".join(writes)
         assert text.startswith("127 paradox class(es) found\n-- class 0:\n")
         assert len(text) == 12589
-        assert max(map(len, out.writes)) == 4096
+        assert max(map(len, writes)) == 4096
+
+    def test_json_writes_whole_pipe_blocks(self, capsys, monkeypatch,
+                                           tmp_path):
+        argv = ["verify", "--json", "--file", grid_set(tmp_path)]
+        code, want, _ = run(capsys, *argv)
+        writes = recorded_writes(monkeypatch, argv, code)
+        assert len(want) > 40 * 4096
+        assert max(map(len, writes)) <= 4096
+        assert "".join(writes) == want
 
     @needs_dev_full
     def test_out_file_failure_names_the_file(self, capsys):
