@@ -390,8 +390,22 @@ def cmd_simulate(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose --help goes to stdout through `_write`.
+
+    argparse's own writer swallows OSError, so help sent to a full device
+    would exit 0; through `_write` the failure reaches `main`. Subparsers
+    inherit the class.
+    """
+
+    def print_help(self, file=None) -> None:
+        if file is not None:
+            return super().print_help(file)
+        _write([self.format_help()])
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cvghz",
         description="Continuous-variable GHZ paradox verifier, searcher "
                     "and simulator")
@@ -440,13 +454,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on bad flags, matching the input-error contract
-        return EXIT_INPUT if exc.code else EXIT_OK
-    try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            # argparse exits 2 on bad flags, matching the input-error
+            # contract, and 0 after --help
+            return EXIT_INPUT if exc.code else EXIT_OK
         return args.func(args)
     except Refusal as exc:
         print(f"refused: {exc}", file=sys.stderr)
@@ -455,8 +469,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:
-        # A failed `_write`, since a file that a subcommand opens fails as
-        # an InputError: a full disk, or a reader that closed the pipe.
+        # A failed `_write` of help or of a subcommand's output, since a
+        # file that a subcommand opens fails as an InputError: a full disk,
+        # or a reader that closed the pipe.
         # Python flushes stdout again at exit, so point it at devnull first,
         # as the `signal` docs' note on SIGPIPE does.
         devnull = os.open(os.devnull, os.O_WRONLY)

@@ -202,5 +202,11 @@ def walk(tables: Tables, visit) -> None:
             _stack.pop()
 
     _stack: list[int] = []
-    extend(n_operators - 1, first_rows, (1 << len(rows)) - 1,
-           ((0, 0),) * len(exact), 0, 0)
+    try:
+        extend(n_operators - 1, first_rows, (1 << len(rows)) - 1,
+               ((0, 0),) * len(exact), 0, 0)
+    finally:
+        # extend refers to itself through its closure cell; left standing,
+        # that cycle keeps the window caches and visit, and what visit
+        # holds, alive until the cyclic collector's next full pass
+        del extend

@@ -85,11 +85,6 @@ class ProductStateSum(_Frozen):
         return len(self.terms[0][1])
 
 
-def comb_overlap(bra: GaussianComb, ket: GaussianComb) -> complex:
-    """<bra|ket> in closed form, including all inter-peak cross terms."""
-    return comb_matrix_element(bra, ket, mu=0.0, shift=0.0)
-
-
 def comb_matrix_element(bra: GaussianComb, ket: GaussianComb,
                         mu: float, shift: float) -> complex:
     """<bra| e^{i*mu*x} T_shift |ket> where (T_s psi)(x) = psi(x + s).
@@ -136,14 +131,6 @@ def comb_matrix_element(bra: GaussianComb, ket: GaussianComb,
     return math.exp(-0.5 * mu * mu * d2) * total
 
 
-def normalized_comb(comb: GaussianComb) -> GaussianComb:
-    norm = math.sqrt(comb_overlap(comb, comb).real)
-    if norm <= 0:
-        raise ValueError("comb has zero norm")
-    return GaussianComb(comb.first,
-                        tuple(w / norm for w in comb.weights), comb.delta)
-
-
 def make_comb(kind: str, delta: float, n_peaks: int,
               envelope_width: float) -> GaussianComb:
     """Normalized up/down comb: peaks at integers k in [-n_peaks, n_peaks].
@@ -163,21 +150,11 @@ def make_comb(kind: str, delta: float, n_peaks: int,
     var2 = 2.0 * envelope_width * envelope_width
     weights = tuple([(1.0 if k % 2 == 0 else odd) * math.exp(-k * k / var2)
                      for k in range(-n_peaks, n_peaks + 1)])
-    return normalized_comb(GaussianComb(float(-n_peaks), weights, delta))
-
-
-def state_norm(state: ProductStateSum) -> float:
-    """Norm from the closed-form Gram matrix of the product terms."""
-    total = weyl_expectation(state, identity_word(LatticeParams(2),
-                                                  state.n_parties))
-    if total.real <= 0:
-        raise ValueError("state has non-positive norm")
-    return math.sqrt(total.real)
-
-
-def normalized_state(state: ProductStateSum) -> ProductStateSum:
-    norm = state_norm(state)
-    return ProductStateSum(tuple((c / norm, f) for c, f in state.terms))
+    comb = GaussianComb(float(-n_peaks), weights, delta)
+    norm = math.sqrt(comb_matrix_element(comb, comb, 0.0, 0.0).real)
+    if norm <= 0:
+        raise ValueError("comb has zero norm")
+    return GaussianComb(comb.first, tuple(w / norm for w in weights), delta)
 
 
 def ghz_state(delta: float, n_peaks: int,
@@ -186,8 +163,14 @@ def ghz_state(delta: float, n_peaks: int,
     up = make_comb("up", delta, n_peaks, envelope_width)
     down = make_comb("down", delta, n_peaks, envelope_width)
     amp = 1.0 / math.sqrt(2.0)
-    return normalized_state(ProductStateSum(((amp, (up, up, up)),
-                                             (-amp, (down, down, down)))))
+    state = ProductStateSum(((amp, (up, up, up)), (-amp, (down, down, down))))
+    # the squared norm, from the closed-form Gram matrix of the two terms
+    total = weyl_expectation(state, identity_word(LatticeParams(2),
+                                                  state.n_parties))
+    if total.real <= 0:
+        raise ValueError("state has non-positive norm")
+    norm = math.sqrt(total.real)
+    return ProductStateSum(tuple((c / norm, f) for c, f in state.terms))
 
 
 def _word_action(word: WeylWord) -> list[tuple[float, float]]:

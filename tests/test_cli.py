@@ -697,6 +697,8 @@ class TestStdoutFailure:
          "--max-exp", "1"],
         ["simulate", "--delta", "0.2"],  # fails its check, after the write
         ["oracle", "--set", "v4"],
+        ["--help"],  # argparse's own writer would swallow the error
+        ["verify", "--help"],
     ])
     def test_full_device(self, argv):
         for unbuffered in UNBUFFERED:

@@ -1,6 +1,7 @@
 """Paradox verdicts, LHV evaluation, canonicalization and small searches."""
 
 import cmath
+import gc
 import itertools
 import math
 import time
@@ -417,6 +418,18 @@ class TestSearch:
     def test_allowed_pairs_must_fit_bound(self):
         with pytest.raises(ValueError):
             search(LatticeParams(4), 2, 3, 1, allowed_pairs=[(0, -3), (1, 0)])
+
+    def test_nothing_left_to_the_cyclic_collector(self):
+        # a reference cycle through the walk's recursive closure would keep
+        # its caches, and through visit the found set and memo, allocated
+        # until the collector's next full pass
+        gc.collect()
+        gc.disable()
+        try:
+            assert len(search(LatticeParams(4), 3, 4, 1)) > 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def orbit_count(rows, pairs):

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from cvghz import oracle, states
 from cvghz.paradox import Refusal, builtin
 from cvghz.states import (MAX_PEAKS, OVERLAP_CUTOFF, GaussianComb,
-                          ProductStateSum, comb_matrix_element, comb_overlap,
+                          ProductStateSum, comb_matrix_element,
                           convergence_study, ghz_state, make_comb,
-                          state_norm, weyl_expectation)
+                          weyl_expectation)
 from cvghz.weyl import LatticeParams, RationalPhase, WeylWord, identity_word
 from references import quadrature_check
 
@@ -87,15 +87,17 @@ class TestMakeComb:
     def test_normalized(self):
         for kind in ("up", "down"):
             c = make_comb(kind, 0.07, 10, 5.0)
-            assert abs(comb_overlap(c, c) - 1) < 1e-12
+            assert abs(comb_matrix_element(c, c, 0.0, 0.0) - 1) < 1e-12
 
     def test_up_down_nearly_orthogonal(self):
         # residual overlap is set by the truncation boundary; once the
         # peak range comfortably covers the envelope it is negligible
-        coarse = abs(comb_overlap(make_comb("up", 0.05, 20, 10.0),
-                                  make_comb("down", 0.05, 20, 10.0)))
-        fine = abs(comb_overlap(make_comb("up", 0.05, 40, 10.0),
-                                make_comb("down", 0.05, 40, 10.0)))
+        coarse = abs(comb_matrix_element(make_comb("up", 0.05, 20, 10.0),
+                                         make_comb("down", 0.05, 20, 10.0),
+                                         0.0, 0.0))
+        fine = abs(comb_matrix_element(make_comb("up", 0.05, 40, 10.0),
+                                       make_comb("down", 0.05, 40, 10.0),
+                                       0.0, 0.0))
         assert coarse < 1e-2
         assert fine < 1e-6
 
@@ -130,7 +132,8 @@ class TestMakeComb:
 class TestGhzState:
     def test_normalized(self):
         state = ghz_state(0.05, 20, 10.0)
-        assert abs(state_norm(state) - 1) < 1e-12
+        norm = math.sqrt(weyl_expectation(state, identity_word(D2, 3)).real)
+        assert abs(norm - 1) < 1e-12
 
     def test_two_terms_three_parties(self):
         state = ghz_state(0.1, 5, 5.0)
@@ -370,7 +373,7 @@ class TestValidation:
         a = make_comb("up", 0.05, 2, 5.0)
         b = make_comb("up", 0.08, 2, 5.0)
         with pytest.raises(ValueError):
-            comb_overlap(a, b)
+            comb_matrix_element(a, b, 0.0, 0.0)
 
     def test_state_party_count_consistency(self):
         up = make_comb("up", 0.05, 2, 5.0)
