@@ -29,7 +29,7 @@ from collections import Counter
 
 from . import paradox
 from .paradox import OperatorSet, Refusal
-from .weyl import LatticeParams, WeylWord
+from .weyl import LatticeParams, WeylWord, is_scalar, product
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -298,41 +298,32 @@ def cmd_oracle(args) -> int:
     imgs = oracle.images(op_set, oracle.DEFAULT_DIM_CEILING
                          if args.max_dim is None else args.max_dim)
     report = oracle.check_set(imgs)
-    sym = paradox.verify(op_set)
-    lines = {
+    phase = is_scalar(product(op_set.operators))
+    data = {
         "dimension": report.dimension,
         "max_commutator_norm": _fmt(report.max_commutator_norm),
         "product_deviation": _fmt(report.product_deviation),
         "max_unitarity_defect": _fmt(report.max_unitarity_defect),
-        "product_phase": (str(sym.product_phase)
-                          if sym.product_phase is not None else None),
+        "product_phase": None if phase is None else str(phase),
     }
-    ok = (report.max_commutator_norm < args.tol
-          and report.product_deviation < args.tol
-          and report.max_unitarity_defect < args.tol)
-    eig_lines = None
-    if sym.is_commuting:
+    ok = all(x < args.tol for x in (report.max_commutator_norm,
+             report.product_deviation, report.max_unitarity_defect))
+    if report.max_commutator_norm < oracle.EIGEN_TOL:  # the solver's own gate
         _, vals = oracle.joint_eigenvector(imgs, seed=args.seed)
-        eig_lines = {
-            "eigenvalues": [_fmt_complex(v) for v in vals],
-            "eigenvalue_product": _fmt_complex(math.prod(vals, start=1 + 0j)),
-        }
+        data["eigenvalues"] = [_fmt_complex(v) for v in vals]
+        data["eigenvalue_product"] = _fmt_complex(
+            math.prod(vals, start=1 + 0j))
         ok = ok and all(abs(abs(v) - 1.0) < oracle.EIGEN_TOL
                         for v in vals)
+    data["pass"] = ok
     if args.json:
-        data = dict(lines)
-        if eig_lines:
-            data.update(eig_lines)
-        data["pass"] = ok
         _write([json.dumps(data, indent=2), "\n"])
     else:
-        text = [f"  {key}: {val}\n" for key, val in lines.items()]
-        if eig_lines:
-            text.append(f"  joint eigenvalues: "
-                        f"{', '.join(eig_lines['eigenvalues'])}\n"
-                        f"  eigenvalue product: "
-                        f"{eig_lines['eigenvalue_product']}\n")
-        _write(text + [f"  pass: {ok}\n"])
+        labels = {"eigenvalues": "joint eigenvalues",
+                  "eigenvalue_product": "eigenvalue product"}
+        _write([f"  {labels.get(key, key)}: "
+                f"{', '.join(val) if isinstance(val, list) else val}\n"
+                for key, val in data.items()])
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 

@@ -26,13 +26,30 @@ EIGEN_TOL = 1e-8  # tolerance of the eigenvector checks and of |lambda| = 1
 
 
 class DimensionCeilingError(Refusal):
-    """Raised when the dimension d^n_parties exceeds the ceiling."""
+    """Raised when the dimension d^n_parties exceeds the ceiling; `dim` is
+    the dimension, or a text bounding it when it was too long to build."""
 
-    def __init__(self, dim: int, ceiling: int):
+    def __init__(self, dim: int | str, ceiling: int):
         self.dim = dim
         self.ceiling = ceiling
         super().__init__(
             f"dense dimension {dim} exceeds ceiling {ceiling}")
+
+
+def _check_dimension(d: int, n_parties: int, ceiling: int) -> None:
+    """Refuse a dense dimension d ** n_parties above the ceiling.
+
+    d ** n_parties >= 2 ** low; when low is at least the ceiling's bit
+    length, the power exceeds the ceiling whatever its digits. Above 64
+    bits such a power is neither built nor printed, both of which take
+    time that grows with its length, and the refusal names 2^low instead.
+    """
+    low = n_parties * (d.bit_length() - 1)
+    if low >= 64 and low >= ceiling.bit_length():
+        raise DimensionCeilingError(f"at least 2^{low}", ceiling)
+    dim = d ** n_parties  # below 4 ** low: 128 bits, or twice the ceiling's
+    if dim > ceiling:
+        raise DimensionCeilingError(dim, ceiling)
 
 
 def _roots_of_unity(d: int) -> list[complex]:
@@ -96,9 +113,7 @@ def monomial(word: WeylWord,
     so m and n are taken mod d first; any integer exponent is accepted.
     """
     d = word.params.d
-    dim = d ** word.n_parties
-    if dim > dim_ceiling:
-        raise DimensionCeilingError(dim, dim_ceiling)
+    _check_dimension(d, word.n_parties, dim_ceiling)
     image, power = [0], [0]
     for m, n in word.exponents:
         m, n = m % d, n % d

@@ -73,8 +73,9 @@ def tables(d: int, n_parties: int, n_operators: int,
     # which mod d depend only on the pairs mod d: the tables are keyed by
     # residue pair (at most d^2 keys however large the alphabet), and each
     # form is taken once. forms[t][a][v]: rows whose party-t pair b has
-    # form(a, b) = v mod d. Folding them over the parties tracks, for each
-    # s, the rows whose form with row i over the parties so far is s mod d.
+    # form(a, b) = v mod d, for the values v that occur, so that no table
+    # grows with d. Folding them over the parties tracks, for each s, the
+    # rows whose form with row i over the parties so far is s mod d.
     # That depends only on row i's residues over those parties, so the
     # classes are folded in sorted order, reusing the previous class's
     # folds of their shared prefix.
@@ -87,9 +88,9 @@ def tables(d: int, n_parties: int, n_operators: int,
         by_residue = dict.fromkeys(residue_pairs, 0)
         for e, bits in held.items():
             by_residue[residue[e]] |= bits
-        table = {a: [0] * d for a in residue_pairs}
+        table: dict = {a: {} for a in residue_pairs}
         for a, v, b in form:
-            table[a][v] |= by_residue[b]
+            table[a][v] = table[a].get(v, 0) | by_residue[b]
         forms.append(table)
     # residue class -> itself, shared by its rows; then -> its mask
     classes: dict = {}
@@ -104,11 +105,20 @@ def tables(d: int, n_parties: int, n_operators: int,
         del folds[t:]
         for t in range(t, n_parties):
             by_value = forms[t][cls[t]]
-            # the sets for distinct v are disjoint, so + is |
-            folds.append(by_value if t == 0 else [
-                sum(folds[-1][(s - v) % d] & by_value[v] for v in range(d))
-                for s in (range(d) if t < n_parties - 1 else (0,))])
-        classes[cls] = folds[-1][0]
+            if t == 0:
+                fold = by_value
+            elif t < n_parties - 1:
+                fold = {}
+                for s, bits in folds[-1].items():
+                    for v, held in by_value.items():
+                        key = (s + v) % d
+                        fold[key] = fold.get(key, 0) | bits & held
+            else:  # the last party: only the sum 0 is read
+                # the sets for distinct v are disjoint, so + is |
+                fold = {0: sum(folds[-1].get(-v % d, 0) & held
+                               for v, held in by_value.items())}
+            folds.append(fold)
+        classes[cls] = folds[-1].get(0, 0)
         last = cls
     comm = list(map(classes.__getitem__, residues))
     return Tables(d, n_operators, rows, first_rows, width,

@@ -187,14 +187,8 @@ def crossing(a, b) -> int:
 
 
 def symplectic(a, b) -> int:
-    """crossing(b, a) - crossing(a, b), written as one sum for speed.
-
-    Words with exponent rows a, b commute up to symplectic(a, b)/d turns.
-    """
-    total = 0
-    for (ma, na), (mb, nb) in zip(a, b):
-        total += ma * nb - mb * na
-    return total
+    """Words with exponent rows a, b commute up to symplectic(a, b)/d turns."""
+    return crossing(b, a) - crossing(a, b)
 
 
 def multiply(a: WeylWord, b: WeylWord) -> WeylWord:

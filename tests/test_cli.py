@@ -41,21 +41,23 @@ CVGHZ = [sys.executable, "-m", "cvghz.cli"]
 # os.wait4 reports a child's peak resident set counting the pages of the
 # process it was forked from, so `run_measured` forks the CLI from this
 # small launcher, which loads no site-packages, and not from pytest.
-# argv: address-space cap in bytes (0: none), stdout path, stderr path, and
-# the CLI's arguments; it prints the CLI's exit code and ru_maxrss.
+# argv: address-space cap in bytes and CPU limit in seconds (0: none),
+# stdout path, stderr path, and the CLI's arguments; it prints the CLI's
+# exit code and ru_maxrss.
 LAUNCHER = """
 import os, sys
-cap, out, err, *argv = sys.argv[1:]
+cap, cpu, out, err, *argv = sys.argv[1:]
 pid = os.fork()
 if pid == 0:
     try:
-        if int(cap):
-            import resource
-            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
-            soft = int(cap)
-            if hard != resource.RLIM_INFINITY:
-                soft = min(soft, hard)
-            resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+        import resource
+        for limit, value in ((resource.RLIMIT_AS, int(cap)),
+                             (resource.RLIMIT_CPU, int(cpu))):
+            hard = resource.getrlimit(limit)[1]
+            if value:
+                if hard != resource.RLIM_INFINITY:
+                    value = min(value, hard)
+                resource.setrlimit(limit, (value, hard))
         for fd, path in ((1, out), (2, err)):
             os.dup2(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC), fd)
         os.execv(sys.executable, [sys.executable, "-m", "cvghz.cli", *argv])
@@ -70,15 +72,16 @@ needs_wait4 = pytest.mark.skipif(
     reason="needs resource and os.wait4")
 
 
-def run_measured(tmp_path, argv, cap_mib=0):
-    """Run the CLI in a fresh process under an optional address-space cap.
+def run_measured(tmp_path, argv, cap_mib=0, cpu_s=0):
+    """Run the CLI in a fresh process under an optional address-space cap
+    and CPU-time limit; past the limit the kernel kills it with SIGXCPU.
 
     Returns its exit code, stdout, stderr and peak resident set in MiB.
     """
     out, err = tmp_path / "out.txt", tmp_path / "err.txt"
     launched = subprocess.run(
         [sys.executable, "-S", "-c", LAUNCHER, str(cap_mib * 2 ** 20),
-         str(out), str(err), *argv],
+         str(cpu_s), str(out), str(err), *argv],
         capture_output=True, text=True, env=cvghz_env(), check=True)
     code, maxrss = map(int, launched.stdout.split())
     # ru_maxrss is in KiB on Linux and in bytes on macOS
@@ -472,6 +475,25 @@ class TestOracle:
         assert out == run(capsys, "oracle", "--set", "v4")[1]
         assert "pass: True" in out
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    @pytest.mark.parametrize("name", ["v4", "w6"])
+    def test_decided_from_the_images(self, capsys, monkeypatch, name,
+                                     json_flag):
+        # the eigenvector is gated by the images' commutator norm, and the
+        # product phase read off the symbolic product: no verify of the set
+        forbid(monkeypatch, paradox, "verify")
+        code, out, err = run(capsys, "oracle", "--set", name, *json_flag)
+        assert (code, err) == (0, "")
+        if json_flag:
+            data = json.loads(out)
+            assert data["pass"] is True
+            assert data["product_phase"] == "1/2"
+            assert len(data["eigenvalues"]) == len(builtin(name).rows)
+        else:
+            assert "  product_phase: 1/2\n" in out
+            assert "  joint eigenvalues: " in out
+            assert out.endswith("  pass: True\n")
+
     def test_identity_set_trivial_pass(self, capsys, tmp_path):
         path = tmp_path / "id.json"
         path.write_text(json.dumps(
@@ -780,6 +802,38 @@ def test_search_memory_is_bounded(tmp_path):
     assert code == 0
     assert out.startswith("2592 paradox class(es) found\n")
     assert peak_mib < 120
+
+
+@needs_wait4
+@pytest.mark.parametrize("d, parties, bound", [
+    (2, 15_000, "2^15000"),  # 4,516 digits: more than str() will print
+    (10 ** 4299, 20_000, "2^285600000"),  # minutes to build the power
+], ids=["d2", "d1e4299"])
+def test_huge_dimension_refused_in_bounded_time(tmp_path, d, parties,
+                                                 bound):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(
+        {"d": d, "parties": parties, "operators": [[[1, 0]] * parties]}))
+    start = time.perf_counter()
+    code, out, err, _ = run_measured(
+        tmp_path, ["oracle", "--file", str(path)], cap_mib=512, cpu_s=5)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err == (f"refused: dense dimension at least {bound} exceeds "
+                   f"ceiling 4096\n")
+
+
+@needs_wait4
+def test_search_tables_do_not_grow_with_d(capsys, tmp_path):
+    # a table of d entries per residue pair would need gigabytes here
+    argv = ["search", "--parties", "1", "--dim", "1000000000",
+            "--operators", "2", "--max-exp", "1"]
+    start = time.perf_counter()
+    code, out, err, _ = run_measured(tmp_path, argv, cap_mib=512, cpu_s=5)
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, "")
+    argv[4] = "1000"
+    assert out == run(capsys, *argv)[1]
 
 
 def loaded(code: str, modules: list[str]) -> list[str]:
