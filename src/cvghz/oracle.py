@@ -1,25 +1,26 @@
 """Clock-and-shift matrix oracle for the lattice Weyl algebra.
 
-Every lattice Weyl word has a faithful image (up to phases that are d-th
-roots of unity, which is all the symbolic algebra ever produces) in the
-d-dimensional generalized Pauli group: X maps to the clock matrix
-diag(1, w, w^2, ...) with w = exp(2*pi*i/d) and Y to the cyclic shift
-|j> -> |j+1>, so that X Y = w Y X. Each image is a generalized permutation
-matrix, so every check below costs O(D) in the dimension D = d^n.
-
-The checks use only the standard library, so `cvghz oracle` starts without
-numpy; only `represent`, the dense matrix for tests, imports it.
+Every lattice Weyl word has a faithful image in the d-dimensional
+generalized Pauli group (Gottesman, quant-ph/9802007): X maps to the clock
+matrix diag(1, w, w^2, ...) with w = exp(2*pi*i/d) and Y to the cyclic
+shift |j> -> |j+1>, so that X Y = w Y X. Each image is a monomial matrix
+of entries w^p, p an integer mod d, held exactly as a permutation and a
+list of exponents (and the word's phase where it is not a multiple of 1/d
+turn): composing gathers the one and adds the other mod d, and the checks
+compare exactly, at O(D) in the dimension D = d^n. Only the eigenvector is
+floating point; only `represent`, the dense matrix for tests, uses numpy.
 """
 
 import cmath
 import math
 import random
 from functools import reduce
-from itertools import accumulate, combinations
+from itertools import combinations
+from operator import add, mul, sub
 
 # perfbench/spans.py patches `cvghz.oracle.verify`; nothing here calls it.
 from .paradox import OperatorSet, Refusal, verify  # noqa: F401
-from .weyl import WeylWord, _Frozen, product
+from .weyl import RationalPhase, WeylWord, _Frozen, product
 
 DEFAULT_DIM_CEILING = 4096
 EIGEN_TOL = 1e-8  # tolerance of the eigenvector checks and of |lambda| = 1
@@ -57,85 +58,85 @@ def _roots_of_unity(d: int) -> list[complex]:
 
 
 def _norm(vec: list[complex]) -> float:
-    return math.sqrt(math.fsum([z.real * z.real + z.imag * z.imag
-                                for z in vec]))
+    return math.hypot(*map(abs, vec))
+
+
+def _split(phase: RationalPhase, d: int) -> tuple[int, RationalPhase]:
+    """(k, rest) with phase = k/d + rest turns and 0 <= rest < 1/d."""
+    k = phase.numerator * d // phase.denominator
+    return k, RationalPhase(phase.numerator * d - k * phase.denominator,
+                            phase.denominator * d)
 
 
 class Monomial(_Frozen):
-    """D x D matrix whose column k holds coeff[k] at row image[k] only.
+    """D x D matrix whose row i holds e^{2*pi*i*phase} w^power[i] at column
+    perm[i] only. Powers are in range(d) and the phase below 1/d turn, so
+    equal matrices have equal fields; but a Monomial is equal only to
+    itself, as the lists it holds are not hashable."""
 
-    `image` is a permutation of range(D). Equal only to itself, as the
-    lists it holds are not hashable.
-    """
-
-    __slots__ = ("image", "coeff")
+    __slots__ = ("d", "perm", "power", "phase")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    @classmethod
-    def scalar(cls, dim: int, value: complex) -> "Monomial":
-        return cls(list(range(dim)), [complex(value)] * dim)
-
     def __matmul__(self, other: "Monomial") -> "Monomial":
-        image, coeff = self.image, self.coeff
-        return Monomial([image[j] for j in other.image],
-                        [c * coeff[j]
-                         for j, c in zip(other.image, other.coeff)])
+        d, perm = self.d, self.perm
+        k, phase = _split(self.phase + other.phase, d)
+        wrap = [(s + k) % d for s in range(2 * d - 1)]  # p + q + k mod d
+        return Monomial(d, list(map(other.perm.__getitem__, perm)), [
+            wrap[p + q] for p, q in
+            zip(self.power, map(other.power.__getitem__, perm))], phase)
 
-    def dagger(self) -> "Monomial":
-        inverse = [0] * len(self.image)
-        for k, j in enumerate(self.image):
-            inverse[j] = k
-        coeff = self.coeff
-        return Monomial(inverse, [coeff[k].conjugate() for k in inverse])
+    def coefficients(self) -> list[complex]:
+        """The D entries, read from one table of the d roots."""
+        table = [self.phase.to_complex() * w for w in _roots_of_unity(self.d)]
+        return list(map(table.__getitem__, self.power))
 
     def apply(self, vec: list[complex]) -> list[complex]:
         """self @ vec for one vector of length D."""
-        out = [0j] * len(vec)
-        for j, c, v in zip(self.image, self.coeff, vec):
-            out[j] = c * v
-        return out
+        return list(map(mul, self.coefficients(),
+                        map(vec.__getitem__, self.perm)))
 
     def distance(self, other: "Monomial") -> float:
-        """Frobenius norm of self - other."""
+        """Frobenius norm of self - other, 0 for equal fields and otherwise
+        summed over the entries that differ."""
+        if self._fields() == other._fields():
+            return 0.0
+        same = self.phase == other.phase
         return math.sqrt(math.fsum([
-            abs(a - b) ** 2 if i == j else abs(a) ** 2 + abs(b) ** 2
-            for i, j, a, b in zip(self.image, other.image,
-                                  self.coeff, other.coeff)]))
+            abs(a - b) ** 2 if i == j else 2.0  # two unit entries
+            for i, j, p, q, a, b in zip(self.perm, other.perm, self.power,
+                                        other.power, self.coefficients(),
+                                        other.coefficients())
+            if i != j or p != q or not same]))
 
 
 def monomial(word: WeylWord,
              dim_ceiling: int = DEFAULT_DIM_CEILING) -> Monomial:
     """e^{2*pi*i*phase} times the tensor product of the parties' X^m Y^n.
 
-    Per site (party 0 is the leading digit), Y^n maps digit k to
-    k' = (k + n) mod d and X^m then multiplies by w^{m k'}. X^d = Y^d = I,
-    so m and n are taken mod d first; any integer exponent is accepted.
-    """
+    Per site (party 0 is the leading digit), row r of X^m Y^n holds w^{m r}
+    at column (r - n) mod d, for any integer m and n, as X^d = Y^d = I."""
     d = word.params.d
     _check_dimension(d, word.n_parties, dim_ceiling)
-    image, power = [0], [0]
+    k, phase = _split(word.phase, d)
+    perm, power = [0], [k]
     for m, n in word.exponents:
-        m, n = m % d, n % d
-        shifted = [(k + n) % d for k in range(d)]
-        image = [i * d + s for i in image for s in shifted]
-        power = [(p + m * s) % d for p in power for s in shifted]
-    scale = word.phase.to_complex()
-    phases = [scale * w for w in _roots_of_unity(d)]
-    return Monomial(image, [phases[p] for p in power])
+        cols = [(r - n) % d for r in range(d)]
+        steps = [m * r % d for r in range(d)]
+        perm = [j * d + c for j in perm for c in cols]
+        power = [(p + s) % d for p in power for s in steps]
+    return Monomial(d, perm, power, phase)
 
 
 def represent(word: WeylWord, dim_ceiling: int = DEFAULT_DIM_CEILING):
-    """The word's image as a dense D x D numpy matrix (tests and small D).
-
-    Needs numpy, which it imports; nothing in the CLI calls it.
-    """
+    """The word's image as a dense D x D numpy matrix, for tests and small
+    D; it imports numpy, and nothing in the CLI calls it."""
     import numpy as np
 
     mon = monomial(word, dim_ceiling)
-    dim = len(mon.image)
+    dim = len(mon.perm)
     mat = np.zeros((dim, dim), dtype=complex)
-    mat[mon.image, np.arange(dim)] = mon.coeff
+    mat[np.arange(dim), mon.perm] = mon.coefficients()
     return mat
 
 
@@ -164,17 +165,12 @@ class OracleReport(_Frozen):
 
 
 def check_set(imgs: Images) -> OracleReport:
-    """Numerically confirm commutation, unitarity and the symbolic product."""
+    """Confirm commutation and the symbolic product exactly; a monomial
+    with unit-modulus entries is unitary by construction."""
     mons = imgs.monomials
-    eye = Monomial.scalar(len(mons[0].image), 1.0)
-    return OracleReport(
-        dimension=len(eye.image),
-        max_commutator_norm=imgs.commutator_norm,
-        product_deviation=reduce(Monomial.__matmul__, mons).distance(
-            imgs.product),
-        max_unitarity_defect=max((m @ m.dagger()).distance(eye)
-                                 for m in mons),
-    )
+    deviation = reduce(Monomial.__matmul__, mons).distance(imgs.product)
+    return OracleReport(len(mons[0].perm), imgs.commutator_norm, deviation,
+                        0.0)
 
 
 def joint_eigenvector(imgs: Images, seed: int = 0
@@ -182,40 +178,45 @@ def joint_eigenvector(imgs: Images, seed: int = 0
     """One simultaneous eigenvector of a commuting set, with its eigenvalues.
 
     Projects a seeded random vector onto an eigenspace of each image M in
-    turn: M^d = c is a scalar, so (1/d) sum_t lam^{-t} M^t projects onto the
-    eigenspace of each root lam of lam^d = c. The largest projection wins.
+    turn: M^d = c is a scalar, so P = (1/d) sum_t lam^{-t} M^t projects onto
+    the eigenspace of each root lam of lam^d = c, and the largest projection
+    wins. |P v|^2 = <v, P v> for an orthogonal projector, so the d inner
+    products <v, M^t v> rank the roots and only the winner's P v is formed.
     """
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     if imgs.commutator_norm >= EIGEN_TOL:
         raise ValueError("operator set is not commuting")
     mons = imgs.monomials
-    d, dim = imgs.d, len(mons[0].image)
+    d, dim, roots = imgs.d, len(mons[0].perm), _roots_of_unity(imgs.d)
     rng = random.Random(seed)
     vec = [complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
            for _ in range(dim)]
     for mon in mons:
-        powers = list(accumulate([mon] * d, Monomial.__matmul__))  # M..M^d
-        c = powers[-1].coeff[0]
-        if powers[-1].distance(Monomial.scalar(dim, c)) >= EIGEN_TOL:
-            raise RuntimeError("an operator's d-th power is not a scalar")
-        images = [p.apply(vec) for p in powers[:-1]]  # M v .. M^{d-1} v
+        coeffs, perm = mon.coefficients(), mon.perm
+        mv = [vec]  # v, M v .. M^{d-1} v
+        for _ in range(d - 1):
+            mv.append(list(map(mul, coeffs, map(mv[-1].__getitem__, perm))))
+        c, k = 1 + 0j, 0
+        for _ in range(d):  # M^d = c: follow row 0 through d factors of M
+            c, k = c * coeffs[k], perm[k]
         root = c ** (1 / d)
-        projections = []
-        for w in _roots_of_unity(d):
-            proj = [x / d for x in vec]
-            for t, image in enumerate(images, start=1):
-                weight = (root * w) ** -t / d
-                proj = [p + weight * x for p, x in zip(proj, image)]
-            projections.append(proj)
-        norms = [_norm(p) for p in projections]
+        conj = list(map(complex.conjugate, vec))
+        dots = [root ** -t * sum(map(mul, conj, u)) for t, u in enumerate(mv)]
+        norms = [sum([roots[-j * t % d] * x for t, x in enumerate(dots)]).real
+                 for j in range(d)]  # d <v, P v> for lam = root w^j
         best = max(range(d), key=norms.__getitem__)
-        vec = [z / norms[best] for z in projections[best]]
-    images = [m.apply(vec) for m in mons]
-    vals = [sum(v.conjugate() * x for v, x in zip(vec, image))
-            for image in images]
-    resid = max(_norm([x - lam * v for x, v in zip(image, vec)])
-                for image, lam in zip(images, vals))
+        proj = [x / d for x in vec]
+        for t, im in enumerate(mv[1:], start=1):
+            weight = (root * roots[best]) ** -t / d
+            proj = list(map(add, proj, map(weight.__mul__, im)))
+        vec = list(map(complex(1 / _norm(proj)).__mul__, proj))
+    conj = list(map(complex.conjugate, vec))
+    vals, resid = [], 0.0
+    for mon in mons:  # one image of the vector at a time
+        image = mon.apply(vec)
+        vals.append(lam := sum(map(mul, conj, image)))
+        resid = max(resid, _norm(list(map(sub, image, map(lam.__mul__, vec)))))
     if resid >= EIGEN_TOL:
         raise RuntimeError("no joint eigenvector isolated; "
                            f"projection residual {resid:.3g}")

@@ -186,14 +186,13 @@ def walk(tables: Tables, visit) -> None:
                 i = lsb.bit_length() - 1
                 mask ^= lsb
                 fi = code_index.get(-scode - code[i])
-                if fi is not None and fi >= i \
-                        and (cands & comm[i]) >> fi & 1:
-                    # Commutation and zero column sums hold by construction;
-                    # only the product phase decides paradox-hood here. The
-                    # sums before fi are -rows[fi]. Swapping two rows
-                    # changes the phase by their symplectic form, 0 mod d
-                    # for commuting rows, so the phase mod d does not
-                    # depend on the order the DFS chose.
+                if fi is not None and fi >= i:
+                    # The sums before fi are -rows[fi], so fi commutes with
+                    # every row by bilinearity and the column sums are 0:
+                    # only the product phase decides paradox-hood. Swapping
+                    # two rows changes the phase by their symplectic form,
+                    # 0 mod d for commuting rows, so the phase mod d does
+                    # not depend on the order the DFS chose.
                     if (phase + crossing(sums, rows[i])
                             - crossing(rows[fi], rows[fi])) % d:
                         visit([rows[j] for j in _stack] + [rows[i], rows[fi]])

@@ -805,6 +805,25 @@ def test_search_memory_is_bounded(tmp_path):
 
 
 @needs_wait4
+def test_oracle_memory_is_bounded(tmp_path):
+    # v4 on 3 of 16 parties: D = 2**16 entries per image; the run peaks
+    # near 49 MiB and takes about 0.7 s
+    rows = [row + ((0, 0),) * 13 for row in builtin("v4").rows]
+    path = tmp_path / "padded.json"
+    path.write_text(json.dumps(cli.set_to_dict(paradox.set_from_rows(2,
+                                                                     rows))))
+    start = time.perf_counter()
+    code, out, err, peak_mib = run_measured(
+        tmp_path, ["oracle", "--file", str(path), "--max-dim", "65536"],
+        cpu_s=30)
+    assert time.perf_counter() - start < 10
+    assert (code, err) == (0, "")
+    assert out.startswith("  dimension: 65536\n")
+    assert out.endswith("  pass: True\n")
+    assert peak_mib < 70
+
+
+@needs_wait4
 @pytest.mark.parametrize("d, parties, bound", [
     (2, 15_000, "2^15000"),  # 4,516 digits: more than str() will print
     (10 ** 4299, 20_000, "2^285600000"),  # minutes to build the power

@@ -34,11 +34,13 @@ def reference_represent(word):
 
 
 def dense(mon):
-    """A monomial's D x D matrix, built entry by entry."""
-    dim = len(mon.image)
+    """A monomial's D x D matrix, built entry by entry from its exact
+    fields: row i holds exp(2 pi i (phase + power[i] / d)) at perm[i]."""
+    dim = len(mon.perm)
     mat = np.zeros((dim, dim), dtype=complex)
-    for k, (j, c) in enumerate(zip(mon.image, mon.coeff)):
-        mat[j, k] = c
+    turns = mon.phase.numerator / mon.phase.denominator
+    for i, (j, p) in enumerate(zip(mon.perm, mon.power)):
+        mat[i, j] = cmath.exp(2j * math.pi * (turns + p / mon.d))
     return mat
 
 
@@ -110,10 +112,13 @@ class TestMonomial:
         dense_a, dense_b = reference_represent(a), reference_represent(b)
         assert np.linalg.norm(represent(a) - dense_a) < 1e-12
         ma, mb = monomial(a), monomial(b)
+        assert np.linalg.norm(dense(ma) - dense_a) < 1e-12
         assert np.linalg.norm(dense(ma @ mb) - dense_a @ dense_b) < 1e-12
-        assert np.linalg.norm(dense(ma.dagger()) - dense_a.conj().T) < 1e-12
+        # the exact composition equals the image of the symbolic product,
+        # whatever the words' phases
+        assert (ma @ mb).distance(monomial(multiply(a, b))) == 0.0
         assert abs(ma.distance(mb) - np.linalg.norm(dense_a - dense_b)) < 1e-12
-        vec = list(np.exp(1j * np.arange(len(ma.image))))  # unit entries
+        vec = list(np.exp(1j * np.arange(len(ma.perm))))  # unit entries
         assert np.linalg.norm(np.asarray(ma.apply(vec))
                               - dense_a @ np.asarray(vec)) < 1e-12
 
@@ -180,9 +185,16 @@ class TestCheckSet:
     def test_v4(self):
         report = check_set(images(builtin("v4")))
         assert report.dimension == 8
-        assert report.max_commutator_norm < 1e-10
-        assert report.product_deviation < 1e-10
-        assert report.max_unitarity_defect < 1e-10
+        assert report.max_commutator_norm == 0
+        assert report.product_deviation == 0
+        assert report.max_unitarity_defect == 0
+
+    def test_w6_is_exact(self):
+        # the images are compared exactly: no float noise at D = 1024
+        report = check_set(images(builtin("w6")))
+        assert report.dimension == 1024
+        assert (report.max_commutator_norm, report.product_deviation,
+                report.max_unitarity_defect) == (0, 0, 0)
 
     def test_noncommuting_pair_reported(self):
         # {X_A, Y_A} at d=2: Frobenius norm of [X, Y] = 2*sqrt(2),
@@ -228,6 +240,20 @@ class TestJointEigenvector:
         for w, lam in zip(s.operators, vals):
             m = represent(w)
             assert np.linalg.norm(m @ v - lam * v) < 1e-8
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_operator_whose_dth_power_is_minus_one(self, d):
+        # (XY)^d = -1 at d = 2 and d = 4: its eigenvalues are d-th roots of
+        # -1, not of 1, so the projection must take c's own root
+        s = set_from_rows(d, [((1, 1),)])
+        mat = reference_represent(s.operators[0])
+        assert np.linalg.norm(np.linalg.matrix_power(mat, d)
+                              + np.eye(d)) < 1e-12
+        for seed in range(5):
+            v, vals = joint_eigenvector(images(s), seed=seed)
+            v = np.asarray(v)
+            assert abs(vals[0] ** d + 1) < 1e-8
+            assert np.linalg.norm(mat @ v - vals[0] * v) < 1e-8
 
     def test_noncommuting_rejected(self):
         s = set_from_rows(2, [((1, 0),), ((0, 1),)])
@@ -276,7 +302,7 @@ def test_padded_v4_at_dimension_2_pow_16():
 
 
 def test_nothing_held_after_the_checks():
-    # the images of v4 padded to D = 2**16 take about 12 MiB in some 260,000
+    # the images of v4 padded to D = 2**16 take about 15 MiB in some 330,000
     # interpreter blocks; once the caller drops them, the oracle must keep
     # none of them
     rows = [row + ((0, 0),) * 13 for row in builtin("v4").rows]

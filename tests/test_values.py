@@ -184,28 +184,31 @@ class TestMonomial:
     """A Monomial holds lists, so it is equal only to itself."""
 
     def test_identity_equality_and_hash(self):
-        a = Monomial([1, 0], [1j, -1 + 0j])
-        b = Monomial([1, 0], [1j, -1 + 0j])
+        a = Monomial(2, [1, 0], [1, 0], RationalPhase(0))
+        b = Monomial(2, [1, 0], [1, 0], RationalPhase(0))
         assert a == a and a != b
         assert hash(a) == object.__hash__(a)
         assert len({a, b}) == 2
 
     def test_keyword_construction_and_repr(self):
-        a = Monomial(image=[1, 0], coeff=[1j, -1 + 0j])
-        assert (a.image, a.coeff) == ([1, 0], [1j, -1 + 0j])
-        assert repr(a) == "Monomial(image=[1, 0], coeff=[1j, (-1+0j)])"
+        a = Monomial(d=2, perm=[1, 0], power=[1, 0], phase=RationalPhase(0))
+        assert (a.d, a.perm, a.power, a.phase) \
+            == (2, [1, 0], [1, 0], RationalPhase(0))
+        assert repr(a) == ("Monomial(d=2, perm=[1, 0], power=[1, 0], "
+                           f"phase={ZERO_REPR})")
 
     def test_bad_fields_raise_type_error(self):
+        zero = RationalPhase(0)
         with pytest.raises(TypeError):
-            Monomial([0])
+            Monomial(2, [0])
         with pytest.raises(TypeError):
-            Monomial([0], [1j], [1j])
+            Monomial(2, [0], [0], zero, zero)
         with pytest.raises(TypeError):
-            Monomial([0], coeff=[1j], scale=2)
+            Monomial(2, [0], [0], phase=zero, scale=2)
 
     def test_fields_are_read_only(self):
-        a = Monomial([0], [1 + 0j])
+        a = Monomial(2, [0], [1], RationalPhase(0))
         with pytest.raises(AttributeError):
-            a.image = [0]
+            a.perm = [0]
         with pytest.raises(AttributeError):
-            del a.coeff
+            del a.power
