@@ -173,6 +173,14 @@ def check_set(imgs: Images) -> OracleReport:
                         0.0)
 
 
+def _powers(mon: Monomial, coeffs: list[complex], vec: list[complex]):
+    """v, M v .. M^{d-1} v for M = mon, made one at a time."""
+    yield vec
+    for _ in range(mon.d - 1):
+        vec = list(map(mul, coeffs, map(vec.__getitem__, mon.perm)))
+        yield vec
+
+
 def joint_eigenvector(imgs: Images, seed: int = 0
                       ) -> tuple[list[complex], list[complex]]:
     """One simultaneous eigenvector of a commuting set, with its eigenvalues.
@@ -182,6 +190,7 @@ def joint_eigenvector(imgs: Images, seed: int = 0
     the eigenspace of each root lam of lam^d = c, and the largest projection
     wins. |P v|^2 = <v, P v> for an orthogonal projector, so the d inner
     products <v, M^t v> rank the roots and only the winner's P v is formed.
+    One M^t v is held at a time: the winner's pass makes them again.
     """
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
@@ -194,20 +203,19 @@ def joint_eigenvector(imgs: Images, seed: int = 0
            for _ in range(dim)]
     for mon in mons:
         coeffs, perm = mon.coefficients(), mon.perm
-        mv = [vec]  # v, M v .. M^{d-1} v
-        for _ in range(d - 1):
-            mv.append(list(map(mul, coeffs, map(mv[-1].__getitem__, perm))))
         c, k = 1 + 0j, 0
         for _ in range(d):  # M^d = c: follow row 0 through d factors of M
             c, k = c * coeffs[k], perm[k]
         root = c ** (1 / d)
         conj = list(map(complex.conjugate, vec))
-        dots = [root ** -t * sum(map(mul, conj, u)) for t, u in enumerate(mv)]
+        dots = [root ** -t * sum(map(mul, conj, u))
+                for t, u in enumerate(_powers(mon, coeffs, vec))]
         norms = [sum([roots[-j * t % d] * x for t, x in enumerate(dots)]).real
                  for j in range(d)]  # d <v, P v> for lam = root w^j
         best = max(range(d), key=norms.__getitem__)
-        proj = [x / d for x in vec]
-        for t, im in enumerate(mv[1:], start=1):
+        powers = _powers(mon, coeffs, vec)
+        proj = [x / d for x in next(powers)]
+        for t, im in enumerate(powers, start=1):
             weight = (root * roots[best]) ** -t / d
             proj = list(map(add, proj, map(weight.__mul__, im)))
         vec = list(map(complex(1 / _norm(proj)).__mul__, proj))

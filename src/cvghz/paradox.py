@@ -1,4 +1,4 @@
-"""GHZ paradox verdicts, local-hidden-variable evaluation and exhaustive search.
+"""GHZ paradox verdicts and exhaustive search.
 
 A set of lattice Weyl words is a GHZ paradox when three conditions hold:
 
@@ -14,7 +14,6 @@ classical assignments are stuck at +1.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 import sys
@@ -78,21 +77,6 @@ class ParadoxReport(_Frozen):
                  "is_lhv_trivial", "product_phase", "is_paradox")
 
 
-class LhvAssignment(_Frozen):
-    """Hidden outcome values (x_j, p_j) per party, in dimensionless units."""
-
-    __slots__ = ("positions", "momenta")
-
-    def __init__(self, positions: tuple[float, ...],
-                 momenta: tuple[float, ...]):
-        if len(positions) != len(momenta):
-            raise ValueError("positions and momenta must have equal length")
-        for v in (*positions, *momenta):
-            if not math.isfinite(v):
-                raise ValueError("hidden values must be finite")
-        super().__init__(positions, momenta)
-
-
 def column_sums(op_set: OperatorSet) -> tuple[tuple[int, int], ...]:
     return tuple((sum(m for m, _ in col), sum(n for _, n in col))
                  for col in zip(*op_set.rows))
@@ -122,25 +106,6 @@ def verify(op_set: OperatorSet) -> ParadoxReport:
         product_phase=phase,
         is_paradox=paradox,
     )
-
-
-def lhv_value(op_set: OperatorSet, assignment: LhvAssignment) -> complex:
-    """Product of the classical unit-modulus values assigned to the set.
-
-    Convention: X_j^{m*a0} is assigned exp(2*pi*i*m*x_j/sqrt(2d)) and
-    Y_j^{n*b0} is assigned exp(2*pi*i*n*p_j/sqrt(2d)), i.e. the operator
-    exponentials evaluated at the hidden outcomes. When all column sums
-    vanish the total exponent cancels and the product is exactly 1.
-    """
-    if len(assignment.positions) != op_set.n_parties:
-        raise ValueError("assignment does not cover all parties")
-    scale = 2.0 * math.pi / math.sqrt(2.0 * op_set.params.d)
-    total = 0.0
-    for row in op_set.rows:
-        for (m, n), x, p in zip(row, assignment.positions,
-                                assignment.momenta):
-            total += scale * (m * x + n * p)
-    return cmath.exp(1j * total)
 
 
 # ---------------------------------------------------------------------------

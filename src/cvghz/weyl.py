@@ -112,9 +112,6 @@ class RationalPhase(_Frozen):
         a, b = self.denominator, other.denominator
         return RationalPhase(self.numerator * b + other.numerator * a, a * b)
 
-    def __neg__(self) -> RationalPhase:
-        return RationalPhase(-self.numerator, self.denominator)
-
     def to_complex(self) -> complex:
         """The unit-modulus scalar this phase represents (floating point)."""
         return cmath.exp(2j * math.pi * self.numerator / self.denominator)
@@ -210,15 +207,6 @@ def product(words) -> WeylWord:
     for w in words[1:]:
         acc = multiply(acc, w)
     return acc
-
-
-def dagger(a: WeylWord) -> WeylWord:
-    """Normal form of the Hermitian adjoint of a."""
-    d = a.params.d
-    # (X^m Y^n)^dag = Y^-n X^-m; reordering costs crossing(a, a) = sum m*n
-    cross = crossing(a.exponents, a.exponents)
-    exps = tuple((-m, -n) for m, n in a.exponents)
-    return WeylWord(a.params, exps, -a.phase + RationalPhase(-cross, d))
 
 
 def commutation_phase(a: WeylWord, b: WeylWord) -> RationalPhase:

@@ -1,12 +1,51 @@
 """Independent references that more than one test file checks against.
 
 `quadrature_check` integrates the comb wavefunctions on a grid, so it shares
-no code with the closed-form sums in `cvghz.states`.
+no code with the closed-form sums in `cvghz.states`. `dagger` and
+`lhv_value` are the adjoint and the classical value that the tests hold the
+algebra and the paradox verdicts to; the CLI needs neither.
 """
 
+import cmath
 import math
 
 import numpy as np
+
+from cvghz.weyl import RationalPhase, WeylWord, crossing
+
+
+def dagger(word: WeylWord) -> WeylWord:
+    """Normal form of the Hermitian adjoint of word.
+
+    (X^m Y^n)^dag = Y^-n X^-m, and reordering that costs
+    crossing(w, w) = sum m*n over the parties: the adjoint's phase is
+    -phase - crossing/d turns.
+    """
+    d, phase = word.params.d, word.phase
+    cross = crossing(word.exponents, word.exponents)
+    return WeylWord(word.params, tuple((-m, -n) for m, n in word.exponents),
+                    RationalPhase(-phase.numerator * d
+                                  - cross * phase.denominator,
+                                  phase.denominator * d))
+
+
+def lhv_value(op_set, positions, momenta) -> complex:
+    """Product of the classical unit-modulus values assigned to the set.
+
+    Hidden outcomes (x_j, p_j) per party, in dimensionless units:
+    X_j^{m*a0} is assigned exp(2*pi*i*m*x_j/sqrt(2d)) and Y_j^{n*b0} is
+    assigned exp(2*pi*i*n*p_j/sqrt(2d)), the operator exponentials at the
+    hidden outcomes. When all column sums vanish the total exponent cancels
+    and the product is exactly 1.
+    """
+    if not len(positions) == len(momenta) == op_set.n_parties:
+        raise ValueError("assignment does not cover all parties")
+    scale = 2.0 * math.pi / math.sqrt(2.0 * op_set.params.d)
+    total = 0.0
+    for row in op_set.rows:
+        for (m, n), x, p in zip(row, positions, momenta):
+            total += scale * (m * x + n * p)
+    return cmath.exp(1j * total)
 
 
 def _comb_wavefunction(comb, x):

@@ -12,10 +12,9 @@ import numpy as np
 import pytest
 
 from cvghz import cli, oracle, paradox, states
-from cvghz.paradox import (LhvAssignment, builtin, canonical_rows,
-                           lhv_value, search, verify)
+from cvghz.paradox import builtin, canonical_rows, search, verify
 from cvghz.weyl import (LatticeParams, RationalPhase, WeylWord, multiply)
-from references import quadrature_check
+from references import lhv_value, quadrature_check
 
 HALF = RationalPhase(1, 2)
 
@@ -66,10 +65,9 @@ def test_criterion_3_lhv_contradiction(capsys):
         op_set = builtin(name)
         assert verify(op_set).product_phase == HALF  # quantum side: -1
         for _ in range(100):
-            assignment = LhvAssignment(
-                tuple(rng.uniform(-5, 5, op_set.n_parties)),
-                tuple(rng.uniform(-5, 5, op_set.n_parties)))
-            value = lhv_value(op_set, assignment)
+            value = lhv_value(op_set,
+                              rng.uniform(-5, 5, op_set.n_parties),
+                              rng.uniform(-5, 5, op_set.n_parties))
             assert abs(value - 1) < 1e-12  # classical side: +1
     with capsys.disabled():
         report_line(3, "LHV product +1 vs quantum -1")

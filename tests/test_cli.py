@@ -824,6 +824,20 @@ def test_oracle_memory_is_bounded(tmp_path):
 
 
 @needs_wait4
+def test_eigenvector_memory_is_bounded(tmp_path):
+    # one party at d = 1024: with all d vectors M^t v held at once the run
+    # peaked at 54 MiB; with one at a time it peaks near 14 MiB
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"d": 1024, "parties": 1,
+                                "operators": [[[1, 1]]]}))
+    code, out, err, peak_mib = run_measured(
+        tmp_path, ["oracle", "--file", str(path)], cpu_s=30)
+    assert (code, err) == (0, "")
+    assert out.endswith("  pass: True\n")
+    assert peak_mib < 30
+
+
+@needs_wait4
 @pytest.mark.parametrize("d, parties, bound", [
     (2, 15_000, "2^15000"),  # 4,516 digits: more than str() will print
     (10 ** 4299, 20_000, "2^285600000"),  # minutes to build the power

@@ -16,7 +16,8 @@ from cvghz.oracle import (DimensionCeilingError, check_set,
                           monomial, represent)
 from cvghz.paradox import OperatorSet, builtin, set_from_rows, verify
 from cvghz.weyl import (LatticeParams, RationalPhase, WeylWord,
-                        commutation_phase, dagger, identity_word, multiply)
+                        commutation_phase, identity_word, multiply)
+from references import dagger
 
 
 def reference_represent(word):

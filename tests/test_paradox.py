@@ -12,17 +12,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvghz import orderly
-from cvghz.paradox import (LhvAssignment, OperatorSet, SearchSpaceError,
-                           builtin, canonical_rows, column_sums, lhv_value,
-                           search, set_from_rows, verify)
+from cvghz.paradox import (OperatorSet, SearchSpaceError, builtin,
+                           canonical_rows, column_sums, search, set_from_rows,
+                           verify)
 from cvghz.weyl import LatticeParams, RationalPhase, WeylWord
+from references import lhv_value
 
 HALF = RationalPhase(1, 2)
 
 
 def random_assignment(rng, n):
-    return LhvAssignment(tuple(rng.uniform(-5, 5, n)),
-                         tuple(rng.uniform(-5, 5, n)))
+    """Hidden positions and momenta for n parties."""
+    return rng.uniform(-5, 5, n), rng.uniform(-5, 5, n)
 
 
 class TestBuiltins:
@@ -120,19 +121,19 @@ class TestLhv:
         s = builtin(name)
         rng = np.random.default_rng(7)
         for _ in range(25):
-            v = lhv_value(s, random_assignment(rng, s.n_parties))
+            v = lhv_value(s, *random_assignment(rng, s.n_parties))
             assert abs(v - 1) < 1e-12
 
     def test_zero_assignment_single_generator(self):
         s = set_from_rows(2, [((1, 0),)])
-        v = lhv_value(s, LhvAssignment((0.0,), (0.0,)))
+        v = lhv_value(s, (0.0,), (0.0,))
         assert abs(v - 1) < 1e-15
 
     def test_single_generator_sweep_matches_exponential(self):
         # d=2: X_A^pi is assigned e^{i*pi*x_A}
         s = set_from_rows(2, [((1, 0),)])
         for x in np.linspace(-3, 3, 13):
-            v = lhv_value(s, LhvAssignment((float(x),), (0.0,)))
+            v = lhv_value(s, (float(x),), (0.0,))
             assert abs(v - cmath.exp(1j * math.pi * x)) < 1e-12
             assert abs(abs(v) - 1) < 1e-15
 
@@ -148,13 +149,13 @@ class TestLhv:
             mat = np.concatenate([rows, last[None]], axis=0)
             s = set_from_rows(d, [[tuple(p) for p in row] for row in mat])
             assert all(c == (0, 0) for c in column_sums(s))
-            v = lhv_value(s, random_assignment(rng, n))
+            v = lhv_value(s, *random_assignment(rng, n))
             assert abs(v - 1) < 1e-12
 
     def test_missing_party_rejected(self):
         s = builtin("v4")
         with pytest.raises(ValueError):
-            lhv_value(s, LhvAssignment((0.0,), (0.0,)))
+            lhv_value(s, (0.0,), (0.0,))
 
 
 def reference_canonical_rows(rows, n_parties):

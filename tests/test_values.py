@@ -7,7 +7,7 @@ import pickle
 import pytest
 
 from cvghz.oracle import Monomial, OracleReport
-from cvghz.paradox import LhvAssignment, OperatorSet, ParadoxReport
+from cvghz.paradox import OperatorSet, ParadoxReport
 from cvghz.states import ConvergenceRow, GaussianComb, ProductStateSum
 from cvghz.weyl import LatticeParams, RationalPhase, WeylWord
 
@@ -32,8 +32,6 @@ CASES = [
      f"column_sums=((0, 0),), product=WeylWord(params=LatticeParams(d=2), "
      f"exponents=((0, 0),), phase={ZERO_REPR}), is_commuting=True, "
      f"is_lhv_trivial=True, product_phase=None, is_paradox=False)"),
-    (LhvAssignment, ((0.5,), (1.5,)),
-     "LhvAssignment(positions=(0.5,), momenta=(1.5,))"),
     (OracleReport, (4, 0.0, 1e-16, 2.5e-17),
      "OracleReport(dimension=4, max_commutator_norm=0.0, "
      "product_deviation=1e-16, max_unitarity_defect=2.5e-17)"),
@@ -164,10 +162,6 @@ def test_post_init_checks_kept():
         OperatorSet(P2, ())
     with pytest.raises(ValueError):
         OperatorSet(P2, (((1, 0),), ((1, 0), (0, 1))))
-    with pytest.raises(ValueError):
-        LhvAssignment((0.0,), ())
-    with pytest.raises(ValueError):
-        LhvAssignment((float("nan"),), (0.0,))
     with pytest.raises(ValueError):
         GaussianComb(0.0, (), 0.5)
     with pytest.raises(ValueError):
