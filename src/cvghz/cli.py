@@ -29,7 +29,7 @@ from collections import Counter
 
 from . import paradox
 from .paradox import OperatorSet, Refusal
-from .weyl import LatticeParams, WeylWord, is_scalar, product
+from .weyl import LatticeParams, WeylWord
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -295,21 +295,20 @@ def cmd_oracle(args) -> int:
     if args.max_dim is not None and args.max_dim < 1:
         raise InputError(f"--max-dim must be >= 1, got {args.max_dim}")
     op_set = load_set(args.set, args.file)
-    imgs = oracle.images(op_set, oracle.DEFAULT_DIM_CEILING
-                         if args.max_dim is None else args.max_dim)
-    report = oracle.check_set(imgs)
-    phase = is_scalar(product(op_set.operators))
+    report = oracle.check_set(op_set, oracle.DEFAULT_DIM_CEILING
+                              if args.max_dim is None else args.max_dim)
     data = {
         "dimension": report.dimension,
         "max_commutator_norm": _fmt(report.max_commutator_norm),
         "product_deviation": _fmt(report.product_deviation),
         "max_unitarity_defect": _fmt(report.max_unitarity_defect),
-        "product_phase": None if phase is None else str(phase),
+        "product_phase": (None if report.product_phase is None
+                          else str(report.product_phase)),
     }
     ok = all(x < args.tol for x in (report.max_commutator_norm,
              report.product_deviation, report.max_unitarity_defect))
     if report.max_commutator_norm < oracle.EIGEN_TOL:  # the solver's own gate
-        _, vals = oracle.joint_eigenvector(imgs, seed=args.seed)
+        _, vals = oracle.joint_eigenvector(report, seed=args.seed)
         data["eigenvalues"] = [_fmt_complex(v) for v in vals]
         data["eigenvalue_product"] = _fmt_complex(
             math.prod(vals, start=1 + 0j))

@@ -5,10 +5,10 @@ generalized Pauli group (Gottesman, quant-ph/9802007): X maps to the clock
 matrix diag(1, w, w^2, ...) with w = exp(2*pi*i/d) and Y to the cyclic
 shift |j> -> |j+1>, so that X Y = w Y X. Each image is a monomial matrix
 of entries w^p, p an integer mod d, held exactly as a permutation and a
-list of exponents (and the word's phase where it is not a multiple of 1/d
-turn): composing gathers the one and adds the other mod d, and the checks
-compare exactly, at O(D) in the dimension D = d^n. Only the eigenvector is
-floating point; only `represent`, the dense matrix for tests, uses numpy.
+list of exponents: composing gathers the one and adds the other mod d, and
+`check_set` compares exactly, at O(D) in the dimension D = d^n. Only the
+eigenvector is floating point; only `represent`, the dense matrix for
+tests, uses numpy.
 """
 
 import cmath
@@ -20,7 +20,7 @@ from operator import add, mul, sub
 
 # perfbench/spans.py patches `cvghz.oracle.verify`; nothing here calls it.
 from .paradox import OperatorSet, Refusal, verify  # noqa: F401
-from .weyl import RationalPhase, WeylWord, _Frozen, product
+from .weyl import WeylWord, _Frozen, is_scalar, product
 
 DEFAULT_DIM_CEILING = 4096
 EIGEN_TOL = 1e-8  # tolerance of the eigenvector checks and of |lambda| = 1
@@ -61,35 +61,26 @@ def _norm(vec: list[complex]) -> float:
     return math.hypot(*map(abs, vec))
 
 
-def _split(phase: RationalPhase, d: int) -> tuple[int, RationalPhase]:
-    """(k, rest) with phase = k/d + rest turns and 0 <= rest < 1/d."""
-    k = phase.numerator * d // phase.denominator
-    return k, RationalPhase(phase.numerator * d - k * phase.denominator,
-                            phase.denominator * d)
-
-
 class Monomial(_Frozen):
-    """D x D matrix whose row i holds e^{2*pi*i*phase} w^power[i] at column
-    perm[i] only. Powers are in range(d) and the phase below 1/d turn, so
-    equal matrices have equal fields; but a Monomial is equal only to
-    itself, as the lists it holds are not hashable."""
+    """D x D matrix whose row i holds w^power[i] at column perm[i] only.
+    Powers are in range(d), so equal matrices have equal fields; but a
+    Monomial is equal only to itself, as the lists it holds are not
+    hashable."""
 
-    __slots__ = ("d", "perm", "power", "phase")
+    __slots__ = ("d", "perm", "power")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
     def __matmul__(self, other: "Monomial") -> "Monomial":
         d, perm = self.d, self.perm
-        k, phase = _split(self.phase + other.phase, d)
-        wrap = [(s + k) % d for s in range(2 * d - 1)]  # p + q + k mod d
+        wrap = list(range(d)) * 2  # p + q mod d
         return Monomial(d, list(map(other.perm.__getitem__, perm)), [
             wrap[p + q] for p, q in
-            zip(self.power, map(other.power.__getitem__, perm))], phase)
+            zip(self.power, map(other.power.__getitem__, perm))])
 
     def coefficients(self) -> list[complex]:
         """The D entries, read from one table of the d roots."""
-        table = [self.phase.to_complex() * w for w in _roots_of_unity(self.d)]
-        return list(map(table.__getitem__, self.power))
+        return list(map(_roots_of_unity(self.d).__getitem__, self.power))
 
     def apply(self, vec: list[complex]) -> list[complex]:
         """self @ vec for one vector of length D."""
@@ -101,76 +92,74 @@ class Monomial(_Frozen):
         summed over the entries that differ."""
         if self._fields() == other._fields():
             return 0.0
-        same = self.phase == other.phase
+        roots = _roots_of_unity(self.d)
         return math.sqrt(math.fsum([
-            abs(a - b) ** 2 if i == j else 2.0  # two unit entries
-            for i, j, p, q, a, b in zip(self.perm, other.perm, self.power,
-                                        other.power, self.coefficients(),
-                                        other.coefficients())
-            if i != j or p != q or not same]))
+            abs(roots[p] - roots[q]) ** 2 if i == j else 2.0  # two units
+            for i, j, p, q in zip(self.perm, other.perm, self.power,
+                                  other.power)
+            if i != j or p != q]))
 
 
 def monomial(word: WeylWord,
              dim_ceiling: int = DEFAULT_DIM_CEILING) -> Monomial:
-    """e^{2*pi*i*phase} times the tensor product of the parties' X^m Y^n.
+    """The tensor product of the parties' X^m Y^n, times the word's phase.
 
     Per site (party 0 is the leading digit), row r of X^m Y^n holds w^{m r}
-    at column (r - n) mod d, for any integer m and n, as X^d = Y^d = I."""
+    at column (r - n) mod d, for any integer m and n, as X^d = Y^d = I. A
+    phase of k/d turn folds into the powers as w^k; any other raises
+    ValueError (the CLI's operators have none, their product k/d turn)."""
     d = word.params.d
     _check_dimension(d, word.n_parties, dim_ceiling)
-    k, phase = _split(word.phase, d)
+    k, rest = divmod(word.phase.numerator * d, word.phase.denominator)
+    if rest:
+        raise ValueError(f"phase {word.phase} turn is not a multiple of "
+                         f"1/{d} turn")
     perm, power = [0], [k]
     for m, n in word.exponents:
         cols = [(r - n) % d for r in range(d)]
         steps = [m * r % d for r in range(d)]
         perm = [j * d + c for j in perm for c in cols]
         power = [(p + s) % d for p in power for s in steps]
-    return Monomial(d, perm, power, phase)
+    return Monomial(d, perm, power)
 
 
 def represent(word: WeylWord, dim_ceiling: int = DEFAULT_DIM_CEILING):
-    """The word's image as a dense D x D numpy matrix, for tests and small
-    D; it imports numpy, and nothing in the CLI calls it."""
+    """The word's image as a dense D x D numpy matrix, for any phase, for
+    tests and small D; it imports numpy, and nothing in the CLI calls it."""
     import numpy as np
 
-    mon = monomial(word, dim_ceiling)
+    mon = monomial(WeylWord(word.params, word.exponents), dim_ceiling)
     dim = len(mon.perm)
     mat = np.zeros((dim, dim), dtype=complex)
-    mat[np.arange(dim), mon.perm] = mon.coefficients()
+    mat[np.arange(dim), mon.perm] = np.multiply(mon.coefficients(),
+                                                word.phase.to_complex())
     return mat
 
 
-class Images(_Frozen):
-    """A set's clock-and-shift images, which both checks read: the
-    operators' monomials, the image of their symbolic product, and the
-    largest Frobenius norm of a pairwise commutator."""
-
-    __slots__ = ("d", "monomials", "product", "commutator_norm")
-
-
-def images(op_set: OperatorSet,
-           dim_ceiling: int = DEFAULT_DIM_CEILING) -> Images:
-    """The set's images; the first `monomial` refuses a dimension above
-    the ceiling before anything is allocated."""
-    mons = tuple(monomial(w, dim_ceiling) for w in op_set.operators)
-    return Images(op_set.params.d, mons,
-                  monomial(product(op_set.operators), dim_ceiling),
-                  max(((a @ b).distance(b @ a)
-                       for a, b in combinations(mons, 2)), default=0.0))
-
-
 class OracleReport(_Frozen):
-    __slots__ = ("dimension", "max_commutator_norm", "product_deviation",
+    """The operators' images, the phase of their symbolic product (None if
+    it is not a scalar), and the exact checks' Frobenius norms."""
+
+    __slots__ = ("monomials", "product_phase", "dimension",
+                 "max_commutator_norm", "product_deviation",
                  "max_unitarity_defect")
 
 
-def check_set(imgs: Images) -> OracleReport:
-    """Confirm commutation and the symbolic product exactly; a monomial
-    with unit-modulus entries is unitary by construction."""
-    mons = imgs.monomials
-    deviation = reduce(Monomial.__matmul__, mons).distance(imgs.product)
-    return OracleReport(len(mons[0].perm), imgs.commutator_norm, deviation,
-                        0.0)
+def check_set(op_set: OperatorSet,
+              dim_ceiling: int = DEFAULT_DIM_CEILING) -> OracleReport:
+    """Build the set's images and confirm commutation and the symbolic
+    product exactly; a monomial with unit-modulus entries is unitary by
+    construction. The first `monomial` refuses a dimension above the
+    ceiling before anything is allocated."""
+    mons = tuple(monomial(w, dim_ceiling) for w in op_set.operators)
+    word = product(op_set.operators)
+    return OracleReport(
+        mons, is_scalar(word), len(mons[0].perm),
+        max(((a @ b).distance(b @ a) for a, b in combinations(mons, 2)),
+            default=0.0),
+        reduce(Monomial.__matmul__, mons).distance(
+            monomial(word, dim_ceiling)),
+        0.0)
 
 
 def _powers(mon: Monomial, coeffs: list[complex], vec: list[complex]):
@@ -181,9 +170,22 @@ def _powers(mon: Monomial, coeffs: list[complex], vec: list[complex]):
         yield vec
 
 
-def joint_eigenvector(imgs: Images, seed: int = 0
+def _eigenvalues(mons, vec: list) -> tuple[list[complex], float]:
+    """<v, M v> for each image M and unit vector v, and the largest
+    residual |M v - <v, M v> v|; one image of the vector at a time."""
+    conj = [x.conjugate() for x in vec]  # entries may be float
+    vals, resid = [], 0.0
+    for mon in mons:
+        image = mon.apply(vec)
+        vals.append(lam := sum(map(mul, conj, image)))
+        resid = max(resid, _norm(list(map(sub, image, map(lam.__mul__, vec)))))
+    return vals, resid
+
+
+def joint_eigenvector(report: OracleReport, seed: int = 0
                       ) -> tuple[list[complex], list[complex]]:
-    """One simultaneous eigenvector of a commuting set, with its eigenvalues.
+    """One simultaneous eigenvector of a commuting set, with its eigenvalues,
+    from the images and commutator norm of the set's `check_set` report.
 
     Projects a seeded random vector onto an eigenspace of each image M in
     turn: M^d = c is a scalar, so P = (1/d) sum_t lam^{-t} M^t projects onto
@@ -194,13 +196,13 @@ def joint_eigenvector(imgs: Images, seed: int = 0
     """
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    if imgs.commutator_norm >= EIGEN_TOL:
+    if report.max_commutator_norm >= EIGEN_TOL:
         raise ValueError("operator set is not commuting")
-    mons = imgs.monomials
-    d, dim, roots = imgs.d, len(mons[0].perm), _roots_of_unity(imgs.d)
+    mons = report.monomials
+    d, roots = mons[0].d, _roots_of_unity(mons[0].d)
     rng = random.Random(seed)
     vec = [complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
-           for _ in range(dim)]
+           for _ in range(report.dimension)]
     for mon in mons:
         coeffs, perm = mon.coefficients(), mon.perm
         c, k = 1 + 0j, 0
@@ -219,12 +221,7 @@ def joint_eigenvector(imgs: Images, seed: int = 0
             weight = (root * roots[best]) ** -t / d
             proj = list(map(add, proj, map(weight.__mul__, im)))
         vec = list(map(complex(1 / _norm(proj)).__mul__, proj))
-    conj = list(map(complex.conjugate, vec))
-    vals, resid = [], 0.0
-    for mon in mons:  # one image of the vector at a time
-        image = mon.apply(vec)
-        vals.append(lam := sum(map(mul, conj, image)))
-        resid = max(resid, _norm(list(map(sub, image, map(lam.__mul__, vec)))))
+    vals, resid = _eigenvalues(mons, vec)
     if resid >= EIGEN_TOL:
         raise RuntimeError("no joint eigenvector isolated; "
                            f"projection residual {resid:.3g}")
@@ -246,12 +243,8 @@ def ghz_comb_eigenvalues(op_set: OperatorSet) -> list[complex]:
         up = [u * s for u in up for s in site]
     # down...down = conj(up...up)
     state = [(u - u.conjugate()) / math.sqrt(2) for u in up]
-    vals = []
-    for w in op_set.operators:
-        image = monomial(w).apply(state)
-        lam = sum(s.conjugate() * x for s, x in zip(state, image))
-        if _norm([x - lam * s for x, s in zip(image, state)]) > EIGEN_TOL:
-            raise ValueError("GHZ comb state is not a joint eigenvector "
-                             "of the given set")
-        vals.append(lam)
+    vals, resid = _eigenvalues(map(monomial, op_set.operators), state)
+    if resid >= EIGEN_TOL:
+        raise ValueError("GHZ comb state is not a joint eigenvector "
+                         "of the given set")
     return vals

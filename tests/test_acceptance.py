@@ -95,7 +95,7 @@ def test_criterion_4_oracle_equivalence(capsys):
 
     for name in ("v4", "w6"):
         start = time.perf_counter()
-        report = oracle.check_set(oracle.images(builtin(name)))
+        report = oracle.check_set(builtin(name))
         elapsed = time.perf_counter() - start
         assert report.max_commutator_norm < 1e-10
         assert report.product_deviation < 1e-10
@@ -111,7 +111,7 @@ def test_criterion_4_oracle_equivalence(capsys):
 
 
 def test_criterion_5_eigenvalue_product(capsys):
-    _, vals = oracle.joint_eigenvector(oracle.images(builtin("v4")), seed=0)
+    _, vals = oracle.joint_eigenvector(oracle.check_set(builtin("v4")), seed=0)
     assert len(vals) == 4
     for v in vals:
         assert abs(abs(v) - 1) < 1e-8

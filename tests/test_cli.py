@@ -501,6 +501,34 @@ class TestOracle:
         code, _, _ = run(capsys, "oracle", "--file", str(path))
         assert code == 0
 
+    @pytest.mark.parametrize("argv, code, size, digest", [
+        (["--set", "v4"], 0, 276, "3eb985f194df6e3b886bde6b9f5de798"
+                                  "71bda7a7f6e10584d3da4dc8a0be4aae"),
+        (["--set", "w6"], 0, 325, "80d63f6c781481f23019186c983f03cf"
+                                  "173309d993d6a653ef39321322a064bb"),
+        (["--set", "w6", "--json", "--seed", "7"], 0, 398,
+         "df477cf951ae747fda0e1441c9d5c9c3443f973b38a02e1552b66fd606ec4a87"),
+        (["--set", "v4", "--json", "--seed", "5"], 0, 337,
+         "6b5eaebea05d77d12b069ef171ba4d06344db44a75e7c248de7882268c87a17b"),
+        ([{"d": 2, "parties": 1, "operators": [[[1, 0]], [[0, 1]]]}], 1, 137,
+         "45f8d51243fa7980fb668a157b3b0c8944b152518b729456ab4291397798cacf"),
+        ([{"d": 3, "parties": 1, "operators": [[[1, 0]], [[1, 0]]]},
+          "--json"], 0, 275,
+         "d034153f0fee91d6da9fc22f599459c240284b121592aba250b4ca695ed30619"),
+    ], ids=["v4", "w6", "w6-json-seed7", "v4-json-seed5", "d2-XY",
+            "d3-commuting"])
+    def test_oracle_listing_pinned(self, capsys, tmp_path, argv, code, size,
+                                   digest):
+        # the eigenvalues' last digits move with any reordering of the
+        # floating-point projection; a dict stands for a set file
+        if isinstance(argv[0], dict):
+            path = tmp_path / "set.json"
+            path.write_text(json.dumps(argv[0]))
+            argv = ["--file", str(path), *argv[1:]]
+        got, out, err = run(capsys, "oracle", *argv)
+        assert (got, err, len(out.encode())) == (code, "", size)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestSimulate:
     def test_single_delta(self, capsys, tmp_path):

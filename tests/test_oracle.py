@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvghz.oracle import (DimensionCeilingError, check_set,
-                          ghz_comb_eigenvalues, images, joint_eigenvector,
-                          monomial, represent)
+                          ghz_comb_eigenvalues, joint_eigenvector, monomial,
+                          represent)
 from cvghz.paradox import OperatorSet, builtin, set_from_rows, verify
 from cvghz.weyl import (LatticeParams, RationalPhase, WeylWord,
                         commutation_phase, identity_word, multiply)
@@ -36,12 +36,11 @@ def reference_represent(word):
 
 def dense(mon):
     """A monomial's D x D matrix, built entry by entry from its exact
-    fields: row i holds exp(2 pi i (phase + power[i] / d)) at perm[i]."""
+    fields: row i holds exp(2 pi i power[i] / d) at perm[i]."""
     dim = len(mon.perm)
     mat = np.zeros((dim, dim), dtype=complex)
-    turns = mon.phase.numerator / mon.phase.denominator
     for i, (j, p) in enumerate(zip(mon.perm, mon.power)):
-        mat[i, j] = cmath.exp(2j * math.pi * (turns + p / mon.d))
+        mat[i, j] = cmath.exp(2j * math.pi * p / mon.d)
     return mat
 
 
@@ -93,7 +92,7 @@ class TestClockShift:
 @st.composite
 def word_pairs(draw):
     """Two words on one lattice: d in 2..5, 1-3 parties, exponents in
-    [-4, 4] and a random global phase in turns of 1/(2d)."""
+    [-4, 4] and a random global phase in turns of 1/d."""
     d = draw(st.integers(2, 5))
     n = draw(st.integers(1, 3))
     pair = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
@@ -101,7 +100,7 @@ def word_pairs(draw):
     def word():
         exps = tuple(draw(st.lists(pair, min_size=n, max_size=n)))
         return WeylWord(LatticeParams(d), exps,
-                        RationalPhase(draw(st.integers(0, 2 * d - 1)), 2 * d))
+                        RationalPhase(draw(st.integers(0, d - 1)), d))
     return word(), word()
 
 
@@ -116,12 +115,21 @@ class TestMonomial:
         assert np.linalg.norm(dense(ma) - dense_a) < 1e-12
         assert np.linalg.norm(dense(ma @ mb) - dense_a @ dense_b) < 1e-12
         # the exact composition equals the image of the symbolic product,
-        # whatever the words' phases
+        # whatever the words' phases in turns of 1/d
         assert (ma @ mb).distance(monomial(multiply(a, b))) == 0.0
         assert abs(ma.distance(mb) - np.linalg.norm(dense_a - dense_b)) < 1e-12
         vec = list(np.exp(1j * np.arange(len(ma.perm))))  # unit entries
         assert np.linalg.norm(np.asarray(ma.apply(vec))
                               - dense_a @ np.asarray(vec)) < 1e-12
+
+    def test_phase_below_one_over_d_refused(self):
+        # a monomial's entries are powers of w, so a quarter turn at d = 2
+        # has no image; the dense `represent` still takes it
+        word = WeylWord(LatticeParams(2), ((1, 1),), RationalPhase(1, 4))
+        with pytest.raises(ValueError, match="phase 1/4 turn"):
+            monomial(word)
+        assert np.linalg.norm(represent(word)
+                              - reference_represent(word)) < 1e-12
 
 
 class TestRepresent:
@@ -184,7 +192,7 @@ class TestRepresent:
 
 class TestCheckSet:
     def test_v4(self):
-        report = check_set(images(builtin("v4")))
+        report = check_set(builtin("v4"))
         assert report.dimension == 8
         assert report.max_commutator_norm == 0
         assert report.product_deviation == 0
@@ -192,7 +200,7 @@ class TestCheckSet:
 
     def test_w6_is_exact(self):
         # the images are compared exactly: no float noise at D = 1024
-        report = check_set(images(builtin("w6")))
+        report = check_set(builtin("w6"))
         assert report.dimension == 1024
         assert (report.max_commutator_norm, report.product_deviation,
                 report.max_unitarity_defect) == (0, 0, 0)
@@ -201,7 +209,7 @@ class TestCheckSet:
         # {X_A, Y_A} at d=2: Frobenius norm of [X, Y] = 2*sqrt(2),
         # cross-checked against the direct 2x2 computation
         rows = [((1, 0),), ((0, 1),)]
-        report = check_set(images(set_from_rows(2, rows)))
+        report = check_set(set_from_rows(2, rows))
         x, y = clock_and_shift(2)
         direct = np.linalg.norm(x @ y - y @ x)
         assert abs(report.max_commutator_norm - direct) < 1e-12
@@ -209,13 +217,13 @@ class TestCheckSet:
 
     def test_identity_set(self):
         s = set_from_rows(2, [((0, 0), (0, 0))])
-        report = check_set(images(s))
+        report = check_set(s)
         assert report.product_deviation < 1e-15
 
 
 class TestJointEigenvector:
     def test_v4_eigenvalue_product(self):
-        _, vals = joint_eigenvector(images(builtin("v4")), seed=0)
+        _, vals = joint_eigenvector(check_set(builtin("v4")), seed=0)
         assert len(vals) == 4
         for v in vals:
             assert abs(abs(v) - 1) < 1e-8
@@ -223,7 +231,7 @@ class TestJointEigenvector:
         assert abs(prod + 1) < 1e-8
 
     def test_w6_eigenvalue_product(self):
-        _, vals = joint_eigenvector(images(builtin("w6")), seed=0)
+        _, vals = joint_eigenvector(check_set(builtin("w6")), seed=0)
         assert len(vals) == 6
         for v in vals:
             assert abs(abs(v) - 1) < 1e-8
@@ -231,12 +239,12 @@ class TestJointEigenvector:
 
     def test_identity_set(self):
         s = set_from_rows(2, [((0, 0),)])
-        _, vals = joint_eigenvector(images(s), seed=1)
+        _, vals = joint_eigenvector(check_set(s), seed=1)
         assert abs(vals[0] - 1) < 1e-10
 
     def test_residual_is_small(self):
         s = builtin("v4")
-        v, vals = joint_eigenvector(images(s), seed=2)
+        v, vals = joint_eigenvector(check_set(s), seed=2)
         v = np.asarray(v)
         for w, lam in zip(s.operators, vals):
             m = represent(w)
@@ -251,7 +259,7 @@ class TestJointEigenvector:
         assert np.linalg.norm(np.linalg.matrix_power(mat, d)
                               + np.eye(d)) < 1e-12
         for seed in range(5):
-            v, vals = joint_eigenvector(images(s), seed=seed)
+            v, vals = joint_eigenvector(check_set(s), seed=seed)
             v = np.asarray(v)
             assert abs(vals[0] ** d + 1) < 1e-8
             assert np.linalg.norm(mat @ v - vals[0] * v) < 1e-8
@@ -259,18 +267,18 @@ class TestJointEigenvector:
     def test_noncommuting_rejected(self):
         s = set_from_rows(2, [((1, 0),), ((0, 1),)])
         with pytest.raises(ValueError):
-            joint_eigenvector(images(s))
+            joint_eigenvector(check_set(s))
 
     def test_negative_seed_rejected(self):
         # random.Random(-1) would silently run as seed 1
         with pytest.raises(ValueError, match="seed"):
-            joint_eigenvector(images(builtin("v4")), seed=-1)
+            joint_eigenvector(check_set(builtin("v4")), seed=-1)
 
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("name", ["v4", "w6"])
     def test_builtin_over_seeds(self, name, seed):
         s = builtin(name)
-        v, vals = joint_eigenvector(images(s), seed=seed)
+        v, vals = joint_eigenvector(check_set(s), seed=seed)
         v = np.asarray(v)
         assert abs(np.linalg.norm(v) - 1) < 1e-12
         for w, lam in zip(s.operators, vals):
@@ -280,8 +288,8 @@ class TestJointEigenvector:
         assert abs(np.prod(vals) - want) < 1e-8
 
     def test_same_seed_same_vector(self):
-        a, vals_a = joint_eigenvector(images(builtin("w6")), seed=7)
-        b, vals_b = joint_eigenvector(images(builtin("w6")), seed=7)
+        a, vals_a = joint_eigenvector(check_set(builtin("w6")), seed=7)
+        b, vals_b = joint_eigenvector(check_set(builtin("w6")), seed=7)
         assert np.array_equal(np.asarray(a), np.asarray(b))
         assert vals_a == vals_b
 
@@ -291,9 +299,8 @@ def test_padded_v4_at_dimension_2_pow_16():
     rows = [row + ((0, 0),) * 13 for row in builtin("v4").rows]
     s = set_from_rows(2, rows)
     start = time.perf_counter()
-    imgs = images(s, dim_ceiling=2 ** 16)
-    report = check_set(imgs)
-    _, vals = joint_eigenvector(imgs, seed=0)
+    report = check_set(s, dim_ceiling=2 ** 16)
+    _, vals = joint_eigenvector(report, seed=0)
     assert time.perf_counter() - start < 5.0
     assert report.dimension == 2 ** 16
     assert report.max_commutator_norm < 1e-8
@@ -310,10 +317,9 @@ def test_nothing_held_after_the_checks():
     gc.collect()
     before = sys.getallocatedblocks()
     s = set_from_rows(2, rows)
-    imgs = images(s, dim_ceiling=2 ** 16)
-    check_set(imgs)
-    joint_eigenvector(imgs, seed=0)
-    del s, imgs
+    report = check_set(s, dim_ceiling=2 ** 16)
+    joint_eigenvector(report, seed=0)
+    del s, report
     gc.collect()
     assert sys.getallocatedblocks() - before < 10_000
 

@@ -1,5 +1,5 @@
 """Every Python file of the project parses as Python 3.10, its oldest, and
-the package defines nothing that it does not use."""
+the package defines and imports nothing that it does not use."""
 
 import ast
 from pathlib import Path
@@ -13,6 +13,13 @@ UNUSED_ALLOWED = {
     "oracle.represent",
     # perfbench/test_perfbench.py compares product_phase.turns
     "weyl.RationalPhase.turns",
+}
+
+# Imported names that nothing in their module refers to.
+IMPORTS_ALLOWED = {
+    # perfbench/spans.py patches it, so that a call under either name is
+    # traced
+    "oracle.verify",
 }
 
 
@@ -51,3 +58,24 @@ def test_every_definition_is_used():
     assert len(defined) > 50
     unused = {qual for qual, name in defined.items() if name not in used}
     assert unused == UNUSED_ALLOWED
+
+
+def test_every_import_is_used():
+    # every name an import binds, at any depth, is read somewhere in its
+    # module; a __future__ import binds no name that code reads
+    unused = set()
+    for path in sorted((ROOT / "src" / "cvghz").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                unused.update(
+                    f"{path.stem}.{name}" for name in
+                    (alias.asname or alias.name.partition(".")[0]
+                     for alias in node.names)
+                    if name not in used)
+    assert unused == IMPORTS_ALLOWED
