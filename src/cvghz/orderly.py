@@ -135,11 +135,13 @@ def walk(tables: Tables, visit) -> None:
     the rows whose party-t entry e leaves -(s + e) a sum of as many
     entries as there are rows left after this one. At the last free level
     that sum is a single entry, so the window keeps exactly the candidates
-    whose forced last row is inside the alphabet. A window only prunes what
-    the code lookup rejects anyway, so a node with fewer candidates than
-    the window's build steps skips it on the key's first sight. reach[r],
-    shared by every party's windows, has bit c(v) - r * c0 set for each sum
-    v of r entries, with c the entry code of `tables` and c0 its least.
+    whose forced last row is inside the alphabet, as the code lookup would;
+    at the levels above, it prunes whole subtrees (in the full box once
+    there are five or more operators, and at every level on an alphabet
+    that is not closed). A window is built the first time its key is seen.
+    reach[r], shared by every party's windows, has bit c(v) - r * c0 set
+    for each sum v of r entries, with c the entry code of `tables` and c0
+    its least.
 
     The product phase, -sum over i < j of crossing(row_i, row_j) / d,
     equals -sum over j of crossing(S_j, row_j) / d with S_j the column sums
@@ -172,11 +174,6 @@ def walk(tables: Tables, visit) -> None:
         for t, (cache, s) in enumerate(zip(windows[left], sums)):
             bits = cache.get(s)
             if bits is None:
-                # a build is a step per entry: not worth it for fewer
-                # candidates on the key's first sight (marked None)
-                if s not in cache and mask.bit_count() < len(entry_code):
-                    cache[s] = None
-                    continue
                 bits = cache[s] = window(t, left, s)
             mask &= bits
         if left == 1:

@@ -21,7 +21,7 @@ from collections.abc import Iterable, Sequence
 from math import comb as binomial
 
 from .weyl import (LatticeParams, WeylWord, _Frozen, commutation_phase,
-                   is_scalar, product)
+                   product)
 
 DEFAULT_SPACE_CEILING = 2e13
 
@@ -77,13 +77,13 @@ class ParadoxReport(_Frozen):
                  "is_lhv_trivial", "product_phase", "is_paradox")
 
 
-def column_sums(op_set: OperatorSet) -> tuple[tuple[int, int], ...]:
-    return tuple((sum(m for m, _ in col), sum(n for _, n in col))
-                 for col in zip(*op_set.rows))
-
-
 def verify(op_set: OperatorSet) -> ParadoxReport:
-    """Run the three-condition paradox test and fill the full report."""
+    """Run the three-condition paradox test and fill the full report.
+
+    The product's exponents are the column sums, so one product decides
+    conditions 2 and 3: the set is LHV-trivial exactly when the product is
+    a scalar, and then its phase is the product phase.
+    """
     ops = op_set.operators
     k = len(ops)
     phases = tuple(
@@ -91,20 +91,16 @@ def verify(op_set: OperatorSet) -> ParadoxReport:
         for i in range(k))
     commuting = all(phases[i][j].is_zero
                     for i in range(k) for j in range(i + 1, k))
-    sums = column_sums(op_set)
-    lhv_trivial = all(s == (0, 0) for s in sums)
     prod = product(ops)
-    phase = is_scalar(prod)
-    paradox = (commuting and lhv_trivial
-               and phase is not None and not phase.is_zero)
+    lhv_trivial = all(s == (0, 0) for s in prod.exponents)
     return ParadoxReport(
         pairwise_phases=phases,
-        column_sums=sums,
+        column_sums=prod.exponents,
         product=prod,
         is_commuting=commuting,
         is_lhv_trivial=lhv_trivial,
-        product_phase=phase,
-        is_paradox=paradox,
+        product_phase=prod.phase if lhv_trivial else None,
+        is_paradox=commuting and lhv_trivial and not prod.phase.is_zero,
     )
 
 

@@ -29,6 +29,20 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_pinned(capsys, tmp_path, argv, code, size, digest):
+    """Run argv; check exit code, empty stderr, stdout size and SHA-256.
+
+    A dict at argv[1] stands for a set file, passed as `--file`.
+    """
+    if isinstance(argv[1], dict):
+        path = tmp_path / "set.json"
+        path.write_text(json.dumps(argv[1]))
+        argv = [argv[0], "--file", str(path), *argv[2:]]
+    got, out, err = run(capsys, *argv)
+    assert (got, err, len(out.encode())) == (code, "", size)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def cvghz_env() -> dict:
     """The environment of a fresh interpreter that imports this cvghz."""
     src = str(Path(cvghz.__file__).resolve().parents[1])
@@ -233,6 +247,30 @@ class TestVerify:
         path.write_text("{}")
         code, _, _ = run(capsys, "verify", "--set", "v4", "--file", str(path))
         assert code == 2
+
+    @pytest.mark.parametrize("argv, code, size, digest", [
+        (["--set", "v4"], 0, 338, "5995db08a1d728f207e434b49d3b78e7"
+                                  "4bf35ef43f3834ea52e92a53f58d4ad2"),
+        (["--set", "w6", "--json"], 0, 1141,
+         "a9021c6aea558f4799c5dd810f78499e1713dcc1cbf75d9ab57ddf60e6ac947a"),
+        ([{"d": 2, "parties": 1, "operators": [[[1, 0]], [[0, 1]]]}], 1, 224,
+         "7fe1eb71b3291181636342d638a4befb98a1489f4c41f97c0815ca7c18ead22a"),
+        ([{"d": 2, "parties": 2,
+           "operators": [[[1, 0], [1, 0]], [[0, 1], [0, 1]]]}], 1, 259,
+         "c08b668841043d6f059d8fd7ed9c405d45ad69d4721a85aff2989ef7ae85ba0c"),
+        ([{"d": 2, "parties": 2,
+           "operators": [[[1, 0], [1, 0]], [[0, 1], [0, 1]]]}, "--json"], 1,
+         393,
+         "ab8b3de7dfa7e9fd717811f9b4c11c7290a5a88a9bd7463f63811b16f1045435"),
+        ([{"d": 2, "parties": 1, "operators": [[[1, 0]], [[-1, 0]]]}], 1, 226,
+         "76a48d5c21cb634128b2b888d7a564f7d2ce80073085f8586238c1a3e3d24b55"),
+        ([{"d": 3, "parties": 2, "operators": [[[1, 2], [0, -1]]]}], 1, 244,
+         "10b5c57fa6cd55cb289f1f5f4b6bcd5e5d9fe775b4db8716452c6c0dd622941c"),
+    ], ids=["v4", "w6-json", "d2-XY", "XX-YY-not-scalar",
+            "XX-YY-not-scalar-json", "phase-zero", "one-operator"])
+    def test_verify_listing_pinned(self, capsys, tmp_path, argv, code, size,
+                                   digest):
+        assert_pinned(capsys, tmp_path, ["verify", *argv], code, size, digest)
 
 
 class TestSearch:
@@ -520,14 +558,8 @@ class TestOracle:
     def test_oracle_listing_pinned(self, capsys, tmp_path, argv, code, size,
                                    digest):
         # the eigenvalues' last digits move with any reordering of the
-        # floating-point projection; a dict stands for a set file
-        if isinstance(argv[0], dict):
-            path = tmp_path / "set.json"
-            path.write_text(json.dumps(argv[0]))
-            argv = ["--file", str(path), *argv[1:]]
-        got, out, err = run(capsys, "oracle", *argv)
-        assert (got, err, len(out.encode())) == (code, "", size)
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        # floating-point projection
+        assert_pinned(capsys, tmp_path, ["oracle", *argv], code, size, digest)
 
 
 class TestSimulate:

@@ -5,6 +5,7 @@ import gc
 import itertools
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,8 +14,7 @@ from hypothesis import strategies as st
 
 from cvghz import orderly
 from cvghz.paradox import (OperatorSet, SearchSpaceError, builtin,
-                           canonical_rows, column_sums, search, set_from_rows,
-                           verify)
+                           canonical_rows, search, set_from_rows, verify)
 from cvghz.weyl import LatticeParams, RationalPhase, WeylWord
 from references import lhv_value
 
@@ -76,6 +76,27 @@ class TestOperatorSet:
         assert all(w.phase.is_zero for w in s.operators)
 
 
+@st.composite
+def verify_cases(draw):
+    """(d, rows): d 2-5, 1-4 parties, 1-6 rows with entries in [-3, 3].
+
+    Entries come from a small per-example alphabet, so that commuting sets
+    are common; half the cases replace the last row by minus the sum of
+    the others, so that the column sums are zero.
+    """
+    d = draw(st.integers(2, 5))
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 6))
+    pair = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+    entry = st.sampled_from(draw(st.lists(pair, min_size=1, max_size=3)))
+    rows = draw(st.lists(st.tuples(*[entry] * n), min_size=k, max_size=k))
+    if k > 1 and draw(st.booleans()):
+        rows[-1] = tuple((-sum(row[p][0] for row in rows[:-1]),
+                          -sum(row[p][1] for row in rows[:-1]))
+                         for p in range(n))
+    return d, rows
+
+
 class TestVerify:
     @pytest.mark.parametrize("name", ["v4", "w6"])
     def test_builtin_is_paradox(self, name):
@@ -114,6 +135,31 @@ class TestVerify:
         assert report.is_paradox == base.is_paradox
         assert report.product_phase == base.product_phase
 
+    @settings(max_examples=300, deadline=None)
+    @given(verify_cases())
+    def test_report_matches_independent_sums(self, case):
+        d, rows = case
+        report = verify(set_from_rows(d, rows))
+        k, n = len(rows), len(rows[0])
+        sums = tuple((sum(row[p][0] for row in rows),
+                      sum(row[p][1] for row in rows)) for p in range(n))
+        assert report.column_sums == sums == report.product.exponents
+        trivial = all(s == (0, 0) for s in sums)
+        assert report.is_lhv_trivial == trivial
+        assert (report.product_phase is None) == (not report.is_lhv_trivial)
+        if trivial:
+            # -sum over i < j of crossing(row_i, row_j) / d, mod 1
+            cross = sum(rows[j][p][0] * rows[i][p][1] for p in range(n)
+                        for i in range(k) for j in range(i + 1, k))
+            phase = Fraction(-cross, d) % 1
+            assert (report.product_phase.numerator,
+                    report.product_phase.denominator) \
+                == (phase.numerator, phase.denominator)
+        commuting = all(report.pairwise_phases[i][j].is_zero
+                        for i in range(k) for j in range(i + 1, k))
+        assert report.is_paradox == (commuting and trivial
+                                     and not report.product_phase.is_zero)
+
 
 class TestLhv:
     @pytest.mark.parametrize("name", ["v4", "w6"])
@@ -148,7 +194,7 @@ class TestLhv:
             last = -rows.sum(axis=0)
             mat = np.concatenate([rows, last[None]], axis=0)
             s = set_from_rows(d, [[tuple(p) for p in row] for row in mat])
-            assert all(c == (0, 0) for c in column_sums(s))
+            assert all(c == (0, 0) for c in verify(s).column_sums)
             v = lhv_value(s, *random_assignment(rng, n))
             assert abs(v - 1) < 1e-12
 
