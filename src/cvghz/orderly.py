@@ -1,13 +1,14 @@
 """The search's walk: its tables and its DFS over row multisets.
 
-`tables` builds the rows, codes and commutation masks of one search, and
-`walk` visits each paradox row multiset in first-row form (orderly
-generation: R. C. Read, "Every one a winner", Ann. Discrete Math. 2, 1978).
-Only `paradox.search` imports this module, once it has passed every refusal.
+`tables` builds the rows, codes and commutation masks of one search, the
+masks by one DFS over residue prefixes; `walk` visits each paradox row
+multiset in first-row form (orderly generation: R. C. Read, "Every one a
+winner", Ann. Discrete Math. 2, 1978). Only `paradox.search` imports it.
 """
 
 import itertools
 from collections.abc import Sequence
+from operator import itemgetter
 
 from .weyl import _Frozen, crossing, symplectic
 
@@ -15,8 +16,8 @@ from .weyl import _Frozen, crossing, symplectic
 class Tables(_Frozen):
     """The tables of one search, as `tables` builds them for `walk`."""
 
-    __slots__ = ("d", "n_operators", "rows", "first_rows", "width",
-                 "entry_code", "code", "code_index", "comm", "exact")
+    __slots__ = ("d", "n_operators", "rows", "first_rows", "code",
+                 "code_index", "comm", "exact")
 
 
 def tables(d: int, n_parties: int, n_operators: int,
@@ -34,17 +35,17 @@ def tables(d: int, n_parties: int, n_operators: int,
     tuple, so key(row) <= row, every other row with key r sorts after r,
     and "index >= r's" is exactly "key >= r".
 
-    Every party draws its entries from `pairs`, so one code serves them
-    all. Entry (m, n) has code c(m, n) = m * width + n (`entry_code`, in
-    the order of `pairs`), and row i has code[i] = sum over t of
-    c(row_t) * width^(2t): a balanced base-width number, digits n_0, m_0,
-    n_1, m_1 and so on. Both codes are linear. Every coordinate of a sum
-    of up to n_operators entries or rows lies in [-h, h] with h =
-    n_operators * max|v| = (width - 1) / 2, so it is one balanced digit,
-    and distinct sums have distinct codes.
+    Row i has code[i] = sum over t of (m_t * width + n_t) * width^(2t):
+    a balanced base-width number, digits n_0, m_0, n_1, m_1 and so on. The
+    code is linear. Every coordinate of a sum of up to n_operators rows
+    lies in [-h, h] with h = n_operators * max|v| = (width - 1) / 2, so it
+    is one balanced digit, and distinct sums have distinct codes: `walk`
+    looks up a forced last row by its code.
 
-    `exact[t][e]` is the bitmask of the rows whose party-t entry is e;
-    `walk` builds its window masks from them.
+    The commutation masks come from one DFS over the residue prefixes of
+    the rows, which folds each prefix once. `exact[t][e]` is the bitmask
+    of the rows whose party-t entry is e; `walk` builds its window masks
+    from them.
     """
     zero_row = ((0, 0),) * n_parties
     closed = {(-m, -n) for m, n in pairs} == set(pairs)
@@ -57,9 +58,8 @@ def tables(d: int, n_parties: int, n_operators: int,
     first_rows = sum(1 << i for i, (key, row) in enumerate(keyed)
                      if key == row)
     width = 2 * n_operators * max(abs(v) for pair in pairs for v in pair) + 1
-    entry = {(m, n): m * width + n for m, n in pairs}
     powers = [width ** (2 * t) for t in range(n_parties)]
-    code = [sum(map(int.__mul__, map(entry.__getitem__, row), powers))
+    code = [sum([(m * width + n) * p for (m, n), p in zip(row, powers)])
             for row in rows]
     code_index = {c: i for i, c in enumerate(code)}
 
@@ -74,55 +74,50 @@ def tables(d: int, n_parties: int, n_operators: int,
     # residue pair (at most d^2 keys however large the alphabet), and each
     # form is taken once. forms[t][a][v]: rows whose party-t pair b has
     # form(a, b) = v mod d, for the values v that occur, so that no table
-    # grows with d. Folding them over the parties tracks, for each s, the
-    # rows whose form with row i over the parties so far is s mod d.
-    # That depends only on row i's residues over those parties, so the
-    # classes are folded in sorted order, reusing the previous class's
-    # folds of their shared prefix.
+    # grows with d. A prefix's fold maps each s to the rows whose form with
+    # the prefix is s mod d; it depends only on the prefix, so one DFS over
+    # the residue prefixes of the classes makes each fold once.
     residue = {(m, n): (m % d, n % d) for m, n in pairs}
     residue_pairs = sorted(set(residue.values()))
-    form = [(a, symplectic((a,), (b,)) % d, b)
-            for a, b in itertools.product(residue_pairs, repeat=2)]
-    forms = []
-    for held in exact:
-        by_residue = dict.fromkeys(residue_pairs, 0)
+    by_residue = [dict.fromkeys(residue_pairs, 0) for _ in exact]
+    for held, merged in zip(exact, by_residue):
         for e, bits in held.items():
-            by_residue[residue[e]] |= bits
-        table: dict = {a: {} for a in residue_pairs}
-        for a, v, b in form:
-            table[a][v] = table[a].get(v, 0) | by_residue[b]
-        forms.append(table)
+            merged[residue[e]] |= bits
+    forms = [{} for _ in exact]
+    for a in residue_pairs:
+        values = [symplectic((a,), (b,)) % d for b in residue_pairs]
+        for table, merged in zip(forms, by_residue):
+            by_value = table[a] = {}
+            for v, bits in zip(values, merged.values()):
+                by_value[v] = by_value.get(v, 0) | bits
+    del by_residue  # not held through the DFS
     # residue class -> itself, shared by its rows; then -> its mask
     classes: dict = {}
     residues = [classes.setdefault(key, key) for key in (
         tuple(map(residue.__getitem__, row)) for row in rows)]
-    folds: list = []  # folds[t]: over parties 0..t of the last class
-    last = ()
-    for cls in sorted(classes):
-        t = 0
-        while t < len(folds) and cls[t] == last[t]:
-            t += 1
-        del folds[t:]
-        for t in range(t, n_parties):
-            by_value = forms[t][cls[t]]
-            if t == 0:
-                fold = by_value
-            elif t < n_parties - 1:
-                fold = {}
-                for s, bits in folds[-1].items():
-                    for v, held in by_value.items():
-                        key = (s + v) % d
-                        fold[key] = fold.get(key, 0) | bits & held
-            else:  # the last party: only the sum 0 is read
-                # the sets for distinct v are disjoint, so + is |
-                fold = {0: sum(folds[-1].get(-v % d, 0) & held
-                               for v, held in by_value.items())}
-            folds.append(fold)
-        classes[cls] = folds[-1].get(0, 0)
-        last = cls
+    # (t, group, fold) on a stack, not a recursion: the classes of group
+    # share their first t + 1 residue pairs; fold is that of their first t
+    root = {0: (1 << len(rows)) - 1}
+    stack = [(0, list(group), root)
+             for _, group in itertools.groupby(sorted(classes), itemgetter(0))]
+    while stack:
+        t, group, fold = stack.pop()
+        by_value = forms[t][group[0][t]]
+        if t == n_parties - 1:  # one class; only its sum 0 is read
+            # the sets for distinct s are disjoint, so + is |
+            classes[group[0]] = sum([bits & by_value.get(-s % d, 0)
+                                     for s, bits in fold.items()])
+            continue
+        step: dict = {}
+        for s, bits in fold.items():
+            for v, held in by_value.items():
+                key = (s + v) % d
+                step[key] = step.get(key, 0) | bits & held
+        stack += [(t + 1, list(sub), step) for _, sub
+                  in itertools.groupby(group, itemgetter(t + 1))]
     comm = list(map(classes.__getitem__, residues))
-    return Tables(d, n_operators, rows, first_rows, width,
-                  list(entry.values()), code, code_index, comm, exact)
+    return Tables(d, n_operators, rows, first_rows, code, code_index, comm,
+                  exact)
 
 
 def walk(tables: Tables, visit) -> None:
@@ -139,32 +134,36 @@ def walk(tables: Tables, visit) -> None:
     at the levels above, it prunes whole subtrees (in the full box once
     there are five or more operators, and at every level on an alphabet
     that is not closed). A window is built the first time its key is seen.
-    reach[r], shared by every party's windows, has bit c(v) - r * c0 set
-    for each sum v of r entries, with c the entry code of `tables` and c0
-    its least.
+    reach[r], the set of sums of r alphabet pairs held as a bitset, serves
+    every party's windows.
 
     The product phase, -sum over i < j of crossing(row_i, row_j) / d,
     equals -sum over j of crossing(S_j, row_j) / d with S_j the column sums
     of the rows before j. The DFS carries that sum with the column sums,
     so a completion costs two `crossing` calls.
     """
-    (d, n_operators, rows, first_rows, width, entry_code, code, code_index,
-     comm, exact) = tables._fields()
-    c0 = min(entry_code)
+    d, n_operators, rows, first_rows, code, code_index, comm, exact = \
+        tables._fields()
+    # reach[r] has bit (a + r h) * span + b + r h for each sum (a, b) of r
+    # pairs (|a|, |b| <= r h; span is wide enough that no two sums a window
+    # compares share a bit). Adding (m, n) moves a sum's bit up by shift.
+    h = max(abs(v) for pair in exact[0] for v in pair)
+    span = 2 * n_operators * h + 1
+    shift = [(m + h) * span + n + h for m, n in exact[0]]
     reach = [1]
     windows = [[{} for _ in exact] for _ in range(n_operators)]
 
     def window(t: int, left: int, s: tuple[int, int]) -> int:
         while len(reach) <= left:
             acc = 0
-            for c in entry_code:
-                acc |= reach[-1] << c - c0
+            for k in shift:
+                acc |= reach[-1] << k
             reach.append(acc)
-        # bit of -(s + e), for each entry e of party t; the sets for
-        # distinct entries are disjoint, so + is |
-        base = -s[0] * width - s[1] - left * c0
-        return sum([bits for c, bits in zip(entry_code, exact[t].values())
-                    if c <= base and reach[left] >> base - c & 1])
+        # the rows of each entry e of party t with -(s + e), at bit
+        # base - shift(e), in reach[left]; the sets are disjoint, so + is |
+        base = ((left + 1) * h - s[0]) * span + (left + 1) * h - s[1]
+        return sum([bits for k, bits in zip(shift, exact[t].values())
+                    if k <= base and reach[left] >> base - k & 1])
 
     def extend(left: int, mask: int, cands: int, sums: tuple,
                scode: int, phase: int) -> None:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from cvghz import orderly
 from cvghz.paradox import (OperatorSet, SearchSpaceError, builtin,
                            canonical_rows, search, set_from_rows, verify)
-from cvghz.weyl import LatticeParams, RationalPhase, WeylWord
+from cvghz.weyl import LatticeParams, RationalPhase, WeylWord, symplectic
 from references import lhv_value
 
 HALF = RationalPhase(1, 2)
@@ -450,6 +450,14 @@ class TestSearch:
         assert time.perf_counter() - start < 2.0
         assert len(results) == 450
 
+    def test_many_parties_fold_without_recursion(self):
+        # one row of 3,000 parties: a mask build that recursed once per
+        # party would exceed the recursion limit
+        start = time.perf_counter()
+        assert search(LatticeParams(2), 3000, 2, 1, allowed_pairs=[(1, 0)]) \
+            == []
+        assert time.perf_counter() - start < 1.0
+
     def test_nan_ceiling_rejected(self):
         with pytest.raises(ValueError, match="NaN") as exc:
             search(LatticeParams(2), 1, 2, 1, space_ceiling=float("nan"))
@@ -563,6 +571,34 @@ class TestOrbitCount:
         classes = search(LatticeParams(2), 3, 4, 1)
         assert orbit_sum(classes, UNIT_PAIRS) \
             == raw_count(2, 3, 4, UNIT_PAIRS) == 106824
+
+
+@pytest.mark.parametrize("d,n_parties,n_operators,pairs", [
+    *[(d, n_parties, 4, UNIT_PAIRS)
+      for d in range(2, 6) for n_parties in (1, 2, 3)],
+    (4, 2, 6, [(-1, 0), (0, -3), (0, 1), (1, 0)]),  # w6's alphabet
+    (4, 3, 6, [(-1, 0), (0, -3), (0, 1), (1, 0)]),
+    (2, 2, 3, [(-1, 1), (0, -1), (0, 1), (1, -1), (1, 0)]),  # not closed
+])
+def test_tables_match_their_definitions(d, n_parties, n_operators, pairs):
+    """The walk reads the tables as facts; here each is rebuilt from its
+    definition. A table defect that drops the same multisets from every
+    walk would pass the orbit-count identity, but not this."""
+    tables = orderly.tables(d, n_parties, n_operators, pairs)
+    rows = tables.rows
+    zero_row = ((0, 0),) * n_parties
+    assert sorted(rows) == [row for row in itertools.product(
+        pairs, repeat=n_parties) if row != zero_row]
+    for i, a in enumerate(rows):
+        assert tables.comm[i] == sum(1 << j for j, b in enumerate(rows)
+                                     if symplectic(a, b) % d == 0)
+    assert len(set(tables.code)) == len(rows)
+    assert all(tables.code_index[c] == i for i, c in enumerate(tables.code))
+    closed = all((-m, -n) in pairs for m, n in pairs)
+    fold = (lambda e: min(e, (-e[0], -e[1]))) if closed else (lambda e: e)
+    assert tables.first_rows == sum(
+        1 << i for i, row in enumerate(rows)
+        if row == tuple(sorted(map(fold, row))))
 
 
 def walk_hits(d, n_parties, n_operators, pairs):
