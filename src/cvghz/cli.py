@@ -29,7 +29,7 @@ from collections import Counter
 
 from . import paradox
 from .paradox import OperatorSet, Refusal
-from .weyl import LatticeParams, WeylWord
+from .weyl import ZERO_PHASE, LatticeParams, WeylWord
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -307,13 +307,12 @@ def cmd_oracle(args) -> int:
     }
     ok = all(x < args.tol for x in (report.max_commutator_norm,
              report.product_deviation, report.max_unitarity_defect))
-    if report.max_commutator_norm < oracle.EIGEN_TOL:  # the solver's own gate
+    if report.max_commutator_norm == 0:  # the solver's own gate
         _, vals = oracle.joint_eigenvector(report, seed=args.seed)
-        data["eigenvalues"] = [_fmt_complex(v) for v in vals]
-        data["eigenvalue_product"] = _fmt_complex(
-            math.prod(vals, start=1 + 0j))
-        ok = ok and all(abs(abs(v) - 1.0) < oracle.EIGEN_TOL
-                        for v in vals)
+        total = sum(vals, ZERO_PHASE)
+        data["eigenvalues"] = [_fmt_complex(v.to_complex()) for v in vals]
+        data["eigenvalue_product"] = _fmt_complex(total.to_complex())
+        ok = ok and report.product_phase in (None, total)
     data["pass"] = ok
     if args.json:
         _write([json.dumps(data, indent=2), "\n"])
@@ -427,7 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-dim", type=int)  # None: the oracle's default
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--seed", type=int, default=0,
-                   help="seed of the joint-eigenvector start vector")
+                   help="the joint eigenvector starts from basis state "
+                   "seed mod D")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_oracle)
 

@@ -6,24 +6,21 @@ matrix diag(1, w, w^2, ...) with w = exp(2*pi*i/d) and Y to the cyclic
 shift |j> -> |j+1>, so that X Y = w Y X. Each image is a monomial matrix
 of entries w^p, p an integer mod d, held exactly as a permutation and a
 list of exponents: composing gathers the one and adds the other mod d, and
-`check_set` compares exactly, at O(D) in the dimension D = d^n. Only the
-eigenvector is floating point; only `represent`, the dense matrix for
-tests, uses numpy.
+`check_set` compares exactly, at O(D) in the dimension D = d^n. The joint
+eigenvector is exact too, its phases integers mod d^2; only `represent`,
+the dense matrix for tests, uses numpy.
 """
 
 import cmath
 import math
-import random
 from functools import reduce
 from itertools import combinations
-from operator import add, mul, sub
 
 # perfbench/spans.py patches `cvghz.oracle.verify`; nothing here calls it.
 from .paradox import OperatorSet, Refusal, verify  # noqa: F401
-from .weyl import WeylWord, _Frozen, is_scalar, product
+from .weyl import RationalPhase, WeylWord, _Frozen, is_scalar, product
 
 DEFAULT_DIM_CEILING = 4096
-EIGEN_TOL = 1e-8  # tolerance of the eigenvector checks and of |lambda| = 1
 
 
 class DimensionCeilingError(Refusal):
@@ -57,10 +54,6 @@ def _roots_of_unity(d: int) -> list[complex]:
     return [cmath.exp(2j * math.pi * k / d) for k in range(d)]
 
 
-def _norm(vec: list[complex]) -> float:
-    return math.hypot(*map(abs, vec))
-
-
 class Monomial(_Frozen):
     """D x D matrix whose row i holds w^power[i] at column perm[i] only.
     Powers are in range(d), so equal matrices have equal fields; but a
@@ -81,11 +74,6 @@ class Monomial(_Frozen):
     def coefficients(self) -> list[complex]:
         """The D entries, read from one table of the d roots."""
         return list(map(_roots_of_unity(self.d).__getitem__, self.power))
-
-    def apply(self, vec: list[complex]) -> list[complex]:
-        """self @ vec for one vector of length D."""
-        return list(map(mul, self.coefficients(),
-                        map(vec.__getitem__, self.perm)))
 
     def distance(self, other: "Monomial") -> float:
         """Frobenius norm of self - other, 0 for equal fields and otherwise
@@ -162,70 +150,61 @@ def check_set(op_set: OperatorSet,
         0.0)
 
 
-def _powers(mon: Monomial, coeffs: list[complex], vec: list[complex]):
-    """v, M v .. M^{d-1} v for M = mon, made one at a time."""
-    yield vec
-    for _ in range(mon.d - 1):
-        vec = list(map(mul, coeffs, map(vec.__getitem__, mon.perm)))
-        yield vec
+def _eigenvalues(mons, state: dict[int, int]) -> list[int]:
+    """Each image's eigenvalue on a state of equal-modulus entries, held as
+    basis index -> phase k (turn k/d^2), as k mod d^2.
 
-
-def _eigenvalues(mons, vec: list) -> tuple[list[complex], float]:
-    """<v, M v> for each image M and unit vector v, and the largest
-    residual |M v - <v, M v> v|; one image of the vector at a time."""
-    conj = [x.conjugate() for x in vec]  # entries may be float
-    vals, resid = [], 0.0
+    (M v)[i] = w^power[i] v[perm[i]], so M v = lam v holds exactly when
+    perm keeps the support and every entry gives one lam = d power[i] +
+    v[perm[i]] - v[i]; ValueError if some image has no such lam."""
+    vals = []
     for mon in mons:
-        image = mon.apply(vec)
-        vals.append(lam := sum(map(mul, conj, image)))
-        resid = max(resid, _norm(list(map(sub, image, map(lam.__mul__, vec)))))
-    return vals, resid
+        d, perm, power = mon.d, mon.perm, mon.power
+        lams = {(d * power[i] + state[perm[i]] - k) % (d * d)
+                if perm[i] in state else None for i, k in state.items()}
+        if len(lams) != 1 or None in lams:
+            raise ValueError("state is not a joint eigenvector of the set")
+        vals.append(lams.pop())
+    return vals
 
 
 def joint_eigenvector(report: OracleReport, seed: int = 0
-                      ) -> tuple[list[complex], list[complex]]:
+                      ) -> tuple[dict[int, int], list[RationalPhase]]:
     """One simultaneous eigenvector of a commuting set, with its eigenvalues,
     from the images and commutator norm of the set's `check_set` report.
 
-    Projects a seeded random vector onto an eigenspace of each image M in
-    turn: M^d = c is a scalar, so P = (1/d) sum_t lam^{-t} M^t projects onto
-    the eigenspace of each root lam of lam^d = c, and the largest projection
-    wins. |P v|^2 = <v, P v> for an orthogonal projector, so the d inner
-    products <v, M^t v> rank the roots and only the winner's P v is formed.
-    One M^t v is held at a time: the winner's pass makes them again.
+    The vector is exact: basis index -> phase k (turn k/d^2), every entry
+    of modulus 1/sqrt(len), the orbit of basis state x0 = seed mod D under
+    the images (the stabilizer-state construction; Gottesman,
+    quant-ph/9802007). From x0 at phase 0, each image M carries the support
+    forward along perm, v[perm[i]] = lam w^(-power[i]) v[i], and first
+    returns to it after L steps; commuting images permute one another's
+    supports, so the L pieces are disjoint and only x0's walk closes the
+    cycle, at c = L lam mod d^2. An eigenvalue of M is a multiple of
+    1/d^2 turn and L divides d, so c is a multiple of L and lam = c // L
+    is exact; piece t adds t lam. Each lam is then read, and checked, on
+    the whole vector.
     """
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    if report.max_commutator_norm >= EIGEN_TOL:
+    if report.max_commutator_norm:
         raise ValueError("operator set is not commuting")
     mons = report.monomials
-    d, roots = mons[0].d, _roots_of_unity(mons[0].d)
-    rng = random.Random(seed)
-    vec = [complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
-           for _ in range(report.dimension)]
+    dd = mons[0].d ** 2
+    x0 = seed % report.dimension
+    vec = {x0: 0}
     for mon in mons:
-        coeffs, perm = mon.coefficients(), mon.perm
-        c, k = 1 + 0j, 0
-        for _ in range(d):  # M^d = c: follow row 0 through d factors of M
-            c, k = c * coeffs[k], perm[k]
-        root = c ** (1 / d)
-        conj = list(map(complex.conjugate, vec))
-        dots = [root ** -t * sum(map(mul, conj, u))
-                for t, u in enumerate(_powers(mon, coeffs, vec))]
-        norms = [sum([roots[-j * t % d] * x for t, x in enumerate(dots)]).real
-                 for j in range(d)]  # d <v, P v> for lam = root w^j
-        best = max(range(d), key=norms.__getitem__)
-        powers = _powers(mon, coeffs, vec)
-        proj = [x / d for x in next(powers)]
-        for t, im in enumerate(powers, start=1):
-            weight = (root * roots[best]) ** -t / d
-            proj = list(map(add, proj, map(weight.__mul__, im)))
-        vec = list(map(complex(1 / _norm(proj)).__mul__, proj))
-    vals, resid = _eigenvalues(mons, vec)
-    if resid >= EIGEN_TOL:
-        raise RuntimeError("no joint eigenvector isolated; "
-                           f"projection residual {resid:.3g}")
-    return vec, vals
+        d, perm, power = mon.d, mon.perm, mon.power
+        x, c, steps = perm[x0], d * power[x0], 1
+        while x not in vec:
+            x, c, steps = perm[x], c + d * power[x], steps + 1
+        lam = (vec[x] + c) % dd // steps
+        piece = vec
+        for _ in range(steps - 1):
+            piece = {perm[i]: (k + lam - d * power[i]) % dd
+                     for i, k in piece.items()}
+            vec.update(piece)
+    return vec, [RationalPhase(k, dd) for k in _eigenvalues(mons, vec)]
 
 
 def ghz_comb_eigenvalues(op_set: OperatorSet) -> list[complex]:
@@ -233,18 +212,14 @@ def ghz_comb_eigenvalues(op_set: OperatorSet) -> list[complex]:
 
     The comb states map to the qubit states (|0> +/- i|1>)/sqrt(2); the GHZ
     superposition (up...up - down...down)/sqrt(2) is their entangled
-    combination. Raises if the state is not a joint eigenvector.
+    combination: up...up has phase |x|/4 turn on basis string x and
+    down...down the conjugate, so their difference lives on the odd-weight
+    strings at phase |x|/4 turn. Raises if the state is not a joint
+    eigenvector.
     """
     if op_set.params.d != 2:
         raise ValueError("GHZ comb reference state is defined for d = 2")
-    site = (1 / math.sqrt(2), 1j / math.sqrt(2))
-    up = [1.0]
-    for _ in range(op_set.n_parties):
-        up = [u * s for u in up for s in site]
-    # down...down = conj(up...up)
-    state = [(u - u.conjugate()) / math.sqrt(2) for u in up]
-    vals, resid = _eigenvalues(map(monomial, op_set.operators), state)
-    if resid >= EIGEN_TOL:
-        raise ValueError("GHZ comb state is not a joint eigenvector "
-                         "of the given set")
-    return vals
+    state = {x: x.bit_count() % 4 for x in range(2 ** op_set.n_parties)
+             if x.bit_count() % 2}
+    return [RationalPhase(k, 4).to_complex() for k in
+            _eigenvalues(map(monomial, op_set.operators), state)]

@@ -57,6 +57,7 @@ def tables(d: int, n_parties: int, n_operators: int,
     rows = [row for _, row in keyed]
     first_rows = sum(1 << i for i, (key, row) in enumerate(keyed)
                      if key == row)
+    del keyed  # one key tuple per row: not held through the masks
     width = 2 * n_operators * max(abs(v) for pair in pairs for v in pair) + 1
     powers = [width ** (2 * t) for t in range(n_parties)]
     code = [sum([(m * width + n) * p for (m, n), p in zip(row, powers)])

@@ -111,7 +111,9 @@ def test_criterion_4_oracle_equivalence(capsys):
 
 
 def test_criterion_5_eigenvalue_product(capsys):
-    _, vals = oracle.joint_eigenvector(oracle.check_set(builtin("v4")), seed=0)
+    _, phases = oracle.joint_eigenvector(oracle.check_set(builtin("v4")),
+                                         seed=0)
+    vals = [lam.to_complex() for lam in phases]
     assert len(vals) == 4
     for v in vals:
         assert abs(abs(v) - 1) < 1e-8

@@ -21,6 +21,7 @@ except ImportError:  # not on Windows
 import cvghz
 from cvghz import cli, oracle, orderly, paradox, states
 from cvghz.paradox import builtin
+from cvghz.weyl import RationalPhase
 
 
 def run(capsys, *argv):
@@ -532,6 +533,20 @@ class TestOracle:
             assert "  joint eigenvalues: " in out
             assert out.endswith("  pass: True\n")
 
+    def test_pass_needs_the_exact_eigenvalue_sum(self, capsys, monkeypatch):
+        # a quarter turn off one eigenvalue moves the sum off 1/2 turn
+        real = oracle.joint_eigenvector
+
+        def shifted(report, seed=0):
+            vec, vals = real(report, seed)
+            return vec, [vals[0] + RationalPhase(1, 4), *vals[1:]]
+
+        monkeypatch.setattr(oracle, "joint_eigenvector", shifted)
+        code, out, err = run(capsys, "oracle", "--set", "v4")
+        assert (code, err) == (1, "")
+        assert "  product_phase: 1/2\n" in out
+        assert out.endswith("  pass: False\n")
+
     def test_identity_set_trivial_pass(self, capsys, tmp_path):
         path = tmp_path / "id.json"
         path.write_text(json.dumps(
@@ -540,25 +555,26 @@ class TestOracle:
         assert code == 0
 
     @pytest.mark.parametrize("argv, code, size, digest", [
-        (["--set", "v4"], 0, 276, "3eb985f194df6e3b886bde6b9f5de798"
-                                  "71bda7a7f6e10584d3da4dc8a0be4aae"),
-        (["--set", "w6"], 0, 325, "80d63f6c781481f23019186c983f03cf"
-                                  "173309d993d6a653ef39321322a064bb"),
-        (["--set", "w6", "--json", "--seed", "7"], 0, 398,
-         "df477cf951ae747fda0e1441c9d5c9c3443f973b38a02e1552b66fd606ec4a87"),
-        (["--set", "v4", "--json", "--seed", "5"], 0, 337,
-         "6b5eaebea05d77d12b069ef171ba4d06344db44a75e7c248de7882268c87a17b"),
+        (["--set", "v4"], 0, 228, "3cdf22eb8283f533bedf6216255f7fb1"
+                                  "a1b6d0730781484a62ff56d3d4829f6e"),
+        (["--set", "w6"], 0, 243, "dcb3cc67d7d7e1f19b620f269a65b0a7"
+                                  "e1630b3bf23156a04d3cd72f79607917"),
+        (["--set", "w6", "--json", "--seed", "7"], 0, 316,
+         "b17ae39ab203f298aa22e366d83adc04a5002c79680f359b0918ba1991f834ec"),
+        (["--set", "v4", "--json", "--seed", "5"], 0, 289,
+         "3e227a6a30a2c00978434ff3547d97188ed9aed5605e5ee5b7665c1f214d1167"),
         ([{"d": 2, "parties": 1, "operators": [[[1, 0]], [[0, 1]]]}], 1, 137,
          "45f8d51243fa7980fb668a157b3b0c8944b152518b729456ab4291397798cacf"),
         ([{"d": 3, "parties": 1, "operators": [[[1, 0]], [[1, 0]]]},
-          "--json"], 0, 275,
-         "d034153f0fee91d6da9fc22f599459c240284b121592aba250b4ca695ed30619"),
+          "--json"], 0, 230,
+         "cd36db77ce0897f4c0385b4671126c938099f563d51266c5d9df7017533d17c7"),
     ], ids=["v4", "w6", "w6-json-seed7", "v4-json-seed5", "d2-XY",
             "d3-commuting"])
     def test_oracle_listing_pinned(self, capsys, tmp_path, argv, code, size,
                                    digest):
-        # the eigenvalues' last digits move with any reordering of the
-        # floating-point projection
+        # every eigenvalue is exact, turn k/d^2, and printed as verify
+        # prints its product phase: the lines move only with the walk's
+        # choice of basis state
         assert_pinned(capsys, tmp_path, ["oracle", *argv], code, size, digest)
 
 
@@ -691,8 +707,8 @@ class TestSimulate:
         (["0.2,0.1,0.05"], 523, "c9055ec9c5e7131b094cd5e454af8707"
                                 "8c551510fbe01000b741e0c5101b7b37"),
         (["0.2,0.1,0.05,0.02,0.01,0.005", "--peaks", "120", "--envelope",
-          "40"], 995, "90e21af94ae144ef6cdd4a160fecee7e"
-                      "ffd2a03c276de6ce81e292580b2a3a41"),
+          "40"], 995, "e2366954a4db530693e9142cde8802c5"
+                      "4593224c3d62007b096f233f530871d6"),
     ], ids=["default", "benchmark"])
     def test_simulate_listing_pinned(self, capsys, argv, size, digest):
         # the noise-level imaginary cells move with any reordering of the

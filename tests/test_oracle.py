@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from cvghz.oracle import (DimensionCeilingError, check_set,
                           ghz_comb_eigenvalues, joint_eigenvector, monomial,
                           represent)
-from cvghz.paradox import OperatorSet, builtin, set_from_rows, verify
+from cvghz.paradox import OperatorSet, builtin, search, set_from_rows, verify
 from cvghz.weyl import (LatticeParams, RationalPhase, WeylWord,
                         commutation_phase, identity_word, multiply)
 from references import dagger
@@ -118,9 +118,6 @@ class TestMonomial:
         # whatever the words' phases in turns of 1/d
         assert (ma @ mb).distance(monomial(multiply(a, b))) == 0.0
         assert abs(ma.distance(mb) - np.linalg.norm(dense_a - dense_b)) < 1e-12
-        vec = list(np.exp(1j * np.arange(len(ma.perm))))  # unit entries
-        assert np.linalg.norm(np.asarray(ma.apply(vec))
-                              - dense_a @ np.asarray(vec)) < 1e-12
 
     def test_phase_below_one_over_d_refused(self):
         # a monomial's entries are powers of w, so a quarter turn at d = 2
@@ -221,9 +218,33 @@ class TestCheckSet:
         assert report.product_deviation < 1e-15
 
 
+def dense_vector(support, dim, d):
+    """The unit vector of an exact eigenvector: entry i is
+    exp(2 pi i k / d^2) / sqrt(len(support)) where support[i] = k, and 0
+    off the support."""
+    vec = np.zeros(dim, dtype=complex)
+    for i, k in support.items():
+        vec[i] = cmath.exp(2j * math.pi * k / (d * d))
+    return vec / math.sqrt(len(support))
+
+
+def eigenpair(op_set, seed=0):
+    """joint_eigenvector of the set as a dense vector and complex values."""
+    support, vals = joint_eigenvector(check_set(op_set), seed=seed)
+    return (dense_vector(support, op_set.params.d ** op_set.n_parties,
+                         op_set.params.d),
+            [lam.to_complex() for lam in vals])
+
+
+def padded_v4():
+    """v4 on 3 of 16 parties: D = 2**16, far beyond any dense matrix."""
+    return set_from_rows(2, [row + ((0, 0),) * 13
+                             for row in builtin("v4").rows])
+
+
 class TestJointEigenvector:
     def test_v4_eigenvalue_product(self):
-        _, vals = joint_eigenvector(check_set(builtin("v4")), seed=0)
+        _, vals = eigenpair(builtin("v4"), seed=0)
         assert len(vals) == 4
         for v in vals:
             assert abs(abs(v) - 1) < 1e-8
@@ -231,7 +252,7 @@ class TestJointEigenvector:
         assert abs(prod + 1) < 1e-8
 
     def test_w6_eigenvalue_product(self):
-        _, vals = joint_eigenvector(check_set(builtin("w6")), seed=0)
+        _, vals = eigenpair(builtin("w6"), seed=0)
         assert len(vals) == 6
         for v in vals:
             assert abs(abs(v) - 1) < 1e-8
@@ -239,13 +260,12 @@ class TestJointEigenvector:
 
     def test_identity_set(self):
         s = set_from_rows(2, [((0, 0),)])
-        _, vals = joint_eigenvector(check_set(s), seed=1)
+        _, vals = eigenpair(s, seed=1)
         assert abs(vals[0] - 1) < 1e-10
 
     def test_residual_is_small(self):
         s = builtin("v4")
-        v, vals = joint_eigenvector(check_set(s), seed=2)
-        v = np.asarray(v)
+        v, vals = eigenpair(s, seed=2)
         for w, lam in zip(s.operators, vals):
             m = represent(w)
             assert np.linalg.norm(m @ v - lam * v) < 1e-8
@@ -253,16 +273,54 @@ class TestJointEigenvector:
     @pytest.mark.parametrize("d", [2, 4])
     def test_operator_whose_dth_power_is_minus_one(self, d):
         # (XY)^d = -1 at d = 2 and d = 4: its eigenvalues are d-th roots of
-        # -1, not of 1, so the projection must take c's own root
+        # -1, not of 1, so the walk must take c's own root
         s = set_from_rows(d, [((1, 1),)])
         mat = reference_represent(s.operators[0])
         assert np.linalg.norm(np.linalg.matrix_power(mat, d)
                               + np.eye(d)) < 1e-12
         for seed in range(5):
-            v, vals = joint_eigenvector(check_set(s), seed=seed)
-            v = np.asarray(v)
+            v, vals = eigenpair(s, seed=seed)
             assert abs(vals[0] ** d + 1) < 1e-8
             assert np.linalg.norm(mat @ v - vals[0] * v) < 1e-8
+
+    @pytest.mark.parametrize("op_set", [
+        builtin("v4"), builtin("w6"), set_from_rows(2, [((1, 1),)]),
+        set_from_rows(4, [((1, 1),)])], ids=["v4", "w6", "d2-XY", "d4-XY"])
+    def test_dense_equations_over_seeds(self, op_set):
+        # M v = lam v for the dense kron construction, one matrix at a time
+        # against the vectors of 200 seeds
+        pairs = [eigenpair(op_set, seed) for seed in range(200)]
+        vecs = np.array([v for v, _ in pairs]).T
+        for j, w in enumerate(op_set.operators):
+            lams = np.array([vals[j] for _, vals in pairs])
+            images = reference_represent(w) @ vecs
+            assert np.abs(images - vecs * lams).max() < 1e-12
+
+    @pytest.mark.parametrize("d, n_classes", [(2, 2758), (3, 1910),
+                                              (4, 1562)])
+    def test_sum_is_the_product_phase_on_every_class(self, d, n_classes):
+        # the exact sum of the lam, turn k/d^2 each, is verify's phase; a
+        # class's first two operators, whose product is no scalar, meet
+        # the dense equations. The seed moves x0 over the basis.
+        classes = search(LatticeParams(d), 3, 4, 1)
+        assert len(classes) == n_classes
+        for seed, s in enumerate(classes):
+            _, vals = joint_eigenvector(check_set(s), seed)
+            assert sum(vals, RationalPhase(0)) == verify(s).product_phase
+            pair = OperatorSet(s.params, s.rows[:2])
+            v, vals = eigenpair(pair, seed)
+            for w, lam in zip(pair.operators, vals):
+                assert np.abs(reference_represent(w) @ v
+                              - lam * v).max() < 1e-12
+
+    def test_large_d_takes_its_own_root(self):
+        # (XY)^2048 = -1: lam = 1/4096 turn, a root that no float would
+        # resolve from its neighbours at 1/2048 turn apart
+        start = time.perf_counter()
+        _, vals = joint_eigenvector(check_set(set_from_rows(
+            2048, [((1, 1),)])))
+        assert time.perf_counter() - start < 1.0
+        assert vals == [RationalPhase(1, 4096)]
 
     def test_noncommuting_rejected(self):
         s = set_from_rows(2, [((1, 0),), ((0, 1),)])
@@ -270,7 +328,7 @@ class TestJointEigenvector:
             joint_eigenvector(check_set(s))
 
     def test_negative_seed_rejected(self):
-        # random.Random(-1) would silently run as seed 1
+        # seed mod D would silently run a negative seed as another
         with pytest.raises(ValueError, match="seed"):
             joint_eigenvector(check_set(builtin("v4")), seed=-1)
 
@@ -278,8 +336,7 @@ class TestJointEigenvector:
     @pytest.mark.parametrize("name", ["v4", "w6"])
     def test_builtin_over_seeds(self, name, seed):
         s = builtin(name)
-        v, vals = joint_eigenvector(check_set(s), seed=seed)
-        v = np.asarray(v)
+        v, vals = eigenpair(s, seed=seed)
         assert abs(np.linalg.norm(v) - 1) < 1e-12
         for w, lam in zip(s.operators, vals):
             assert abs(abs(lam) - 1) < 1e-8
@@ -287,36 +344,44 @@ class TestJointEigenvector:
         want = cmath.exp(2j * math.pi * verify(s).product_phase.turns)
         assert abs(np.prod(vals) - want) < 1e-8
 
+    def test_seed_picks_the_start_state(self):
+        # x0 = seed mod D, at phase 0
+        report = check_set(builtin("v4"))
+        for seed in range(20):
+            support, _ = joint_eigenvector(report, seed)
+            assert support[seed % 8] == 0
+
     def test_same_seed_same_vector(self):
         a, vals_a = joint_eigenvector(check_set(builtin("w6")), seed=7)
         b, vals_b = joint_eigenvector(check_set(builtin("w6")), seed=7)
-        assert np.array_equal(np.asarray(a), np.asarray(b))
+        assert np.array_equal(dense_vector(a, 1024, 2),
+                              dense_vector(b, 1024, 2))
+        assert a == b
         assert vals_a == vals_b
 
 
 def test_padded_v4_at_dimension_2_pow_16():
-    # v4 on 3 of 16 parties: D = 2**16, far beyond any dense matrix
-    rows = [row + ((0, 0),) * 13 for row in builtin("v4").rows]
-    s = set_from_rows(2, rows)
+    s = padded_v4()
     start = time.perf_counter()
     report = check_set(s, dim_ceiling=2 ** 16)
-    _, vals = joint_eigenvector(report, seed=0)
+    support, vals = joint_eigenvector(report, seed=0)
     assert time.perf_counter() - start < 5.0
     assert report.dimension == 2 ** 16
     assert report.max_commutator_norm < 1e-8
     assert report.product_deviation < 1e-8
     assert report.max_unitarity_defect < 1e-8
-    assert abs(np.prod(vals) + 1) < 1e-8
+    assert abs(np.prod([lam.to_complex() for lam in vals]) + 1) < 1e-8
+    # the orbit of one basis state: the 13 idle parties add nothing
+    assert len(support) == 4
 
 
 def test_nothing_held_after_the_checks():
     # the images of v4 padded to D = 2**16 take about 15 MiB in some 330,000
     # interpreter blocks; once the caller drops them, the oracle must keep
     # none of them
-    rows = [row + ((0, 0),) * 13 for row in builtin("v4").rows]
     gc.collect()
     before = sys.getallocatedblocks()
-    s = set_from_rows(2, rows)
+    s = padded_v4()
     report = check_set(s, dim_ceiling=2 ** 16)
     joint_eigenvector(report, seed=0)
     del s, report
@@ -335,3 +400,23 @@ class TestGhzCombEigenvalues:
     def test_requires_d2(self):
         with pytest.raises(ValueError):
             ghz_comb_eigenvalues(builtin("w6"))
+
+    def test_values_on_the_dense_ghz_vector(self):
+        # the qubit GHZ comb vector built as a product of site states:
+        # (up...up - down...down)/sqrt(2), up = (1, i)/sqrt(2) per site
+        up = np.ones(1)
+        for _ in range(3):
+            up = np.kron(up, np.array([1, 1j]) / np.sqrt(2))
+        state = (up - up.conj()) / np.sqrt(2)
+        s = builtin("v4")
+        for w, lam in zip(s.operators, ghz_comb_eigenvalues(s)):
+            assert np.abs(reference_represent(w) @ state
+                          - lam * state).max() < 1e-12
+
+    @pytest.mark.parametrize("row", [((1, 0), (0, 0), (0, 0)),
+                                     ((0, 1), (0, 0), (0, 0))],
+                             ids=["clock-splits-the-phases",
+                                  "shift-leaves-the-support"])
+    def test_rejects_a_set_it_does_not_diagonalize(self, row):
+        with pytest.raises(ValueError, match="not a joint eigenvector"):
+            ghz_comb_eigenvalues(set_from_rows(2, [row]))

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvghz import oracle, states
@@ -174,13 +174,20 @@ class TestBandedMatrixElement:
            # |shift| >= 60 puts every pair outside the band
            st.one_of(st.integers(-40, 40), st.floats(-5, 5),
                      st.floats(60, 100), st.floats(-100, -60)))
+    # a subnormal weight: the two sums round 2 * 5e-324 * e^(-1/2) in
+    # different orders, to 1e-323 and 5e-324, and 1e-12 * scale is 0
+    @example([GaussianComb(0.0, (2 + 0j,), 0.5),
+              GaussianComb(0.0, (0j, 5e-324 + 0j), 0.5)], 0.0, 0)
     def test_matches_dense_reference(self, combs, mu, shift):
         bra, ket = combs
         got = comb_matrix_element(bra, ket, mu, shift)
         want = reference_comb_matrix_element(bra, ket, mu, shift)
         scale = (sum(map(abs, bra.weights))
                  * sum(map(abs, ket.weights)))
-        assert abs(got - want) <= 1e-12 * scale
+        # a relative bound, plus a few units of the smallest subnormal
+        # per peak pair for products that underflow
+        assert abs(got - want) <= 1e-12 * scale + 4 * len(bra.weights) \
+            * len(ket.weights) * math.ulp(0.0)
         reach = BAND_REACH * bra.delta
         if all(abs(a - b + shift) > 1.01 * reach  # clear of rounding
                for a in bra.centers for b in ket.centers):
