@@ -1,9 +1,9 @@
 """Continuous-variable GHZ paradoxes from lattice Weyl operators.
 
-Exact rational-phase operator algebra (`weyl`), paradox verdicts and
-exhaustive search (`paradox`, with the search's walk in `orderly`), a
-clock-and-shift matrix oracle (`oracle`), Gaussian comb-state simulation
-(`states`) and a command-line front end (`cli`).
+Exact operator algebra with phases as integers mod d (`weyl`), paradox
+verdicts and exhaustive search (`paradox`, with the search's walk in
+`orderly`), a clock-and-shift matrix oracle (`oracle`), Gaussian comb-state
+simulation (`states`) and a command-line front end (`cli`).
 """
 
 from .weyl import (LatticeParams, RationalPhase, WeylWord, commutation_phase,

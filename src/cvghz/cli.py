@@ -29,7 +29,7 @@ from collections import Counter
 
 from . import paradox
 from .paradox import OperatorSet, Refusal
-from .weyl import ZERO_PHASE, LatticeParams, WeylWord
+from .weyl import LatticeParams, RationalPhase, WeylWord
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -158,9 +158,10 @@ def _terms(d: int, exponents) -> list[str]:
 
 def render_word(word: WeylWord) -> str:
     """Human-readable rendering, e.g. X_A^pi Y_B^-pi for d=2."""
-    parts = _terms(word.params.d, word.exponents)
-    if not word.phase.is_zero:
-        parts.insert(0, f"e^(2*pi*i*{word.phase})")
+    d = word.params.d
+    parts = _terms(d, word.exponents)
+    if word.phase:
+        parts.insert(0, f"e^(2*pi*i*{RationalPhase(word.phase, d)})")
     return " ".join(parts) if parts else "I"
 
 
@@ -195,12 +196,15 @@ def _write_file(path: str, text: str) -> None:
 
 def report_to_dict(op_set: OperatorSet,
                    report: paradox.ParadoxReport) -> dict:
+    # each distinct phase, of at most min(d, k^2), is rendered once
+    shown = {p: str(RationalPhase(p, op_set.params.d))
+             for p in set().union(*report.pairwise_phases)}
     return {
         "name": op_set.name,
         "d": op_set.params.d,
         "parties": op_set.n_parties,
         "operators": [render_word(w) for w in op_set.operators],
-        "pairwise_phases": [[str(p) for p in row]
+        "pairwise_phases": [[shown[p] for p in row]
                             for row in report.pairwise_phases],
         "column_sums": [list(s) for s in report.column_sums],
         "is_commuting": report.is_commuting,
@@ -297,22 +301,27 @@ def cmd_oracle(args) -> int:
     op_set = load_set(args.set, args.file)
     report = oracle.check_set(op_set, oracle.DEFAULT_DIM_CEILING
                               if args.max_dim is None else args.max_dim)
+    d = op_set.params.d
     data = {
         "dimension": report.dimension,
         "max_commutator_norm": _fmt(report.max_commutator_norm),
         "product_deviation": _fmt(report.product_deviation),
         "max_unitarity_defect": _fmt(report.max_unitarity_defect),
         "product_phase": (None if report.product_phase is None
-                          else str(report.product_phase)),
+                          else str(RationalPhase(report.product_phase, d))),
     }
     ok = all(x < args.tol for x in (report.max_commutator_norm,
              report.product_deviation, report.max_unitarity_defect))
     if report.max_commutator_norm == 0:  # the solver's own gate
         _, vals = oracle.joint_eigenvector(report, seed=args.seed)
-        total = sum(vals, ZERO_PHASE)
-        data["eigenvalues"] = [_fmt_complex(v.to_complex()) for v in vals]
-        data["eigenvalue_product"] = _fmt_complex(total.to_complex())
-        ok = ok and report.product_phase in (None, total)
+        dd = d * d  # each lambda, and so their sum, is k/d^2 turn
+        total = sum(vals) % dd
+        data["eigenvalues"] = [_fmt_complex(RationalPhase(k, dd).to_complex())
+                               for k in vals]
+        data["eigenvalue_product"] = _fmt_complex(
+            RationalPhase(total, dd).to_complex())
+        ok = ok and (report.product_phase is None
+                     or report.product_phase * d == total)
     data["pass"] = ok
     if args.json:
         _write([json.dumps(data, indent=2), "\n"])

@@ -6,9 +6,10 @@ matrix diag(1, w, w^2, ...) with w = exp(2*pi*i/d) and Y to the cyclic
 shift |j> -> |j+1>, so that X Y = w Y X. Each image is a monomial matrix
 of entries w^p, p an integer mod d, held exactly as a permutation and a
 list of exponents: composing gathers the one and adds the other mod d, and
-`check_set` compares exactly, at O(D) in the dimension D = d^n. The joint
-eigenvector is exact too, its phases integers mod d^2; only `represent`,
-the dense matrix for tests, uses numpy.
+`check_set` compares exactly, at O(D) in the dimension D = d^n. A word's
+phase k/d turn is the factor w^k. The joint eigenvector is exact too, its
+phases and eigenvalues integers mod d^2; only `represent`, the dense matrix
+for tests, uses numpy.
 """
 
 import cmath
@@ -93,16 +94,11 @@ def monomial(word: WeylWord,
     """The tensor product of the parties' X^m Y^n, times the word's phase.
 
     Per site (party 0 is the leading digit), row r of X^m Y^n holds w^{m r}
-    at column (r - n) mod d, for any integer m and n, as X^d = Y^d = I. A
-    phase of k/d turn folds into the powers as w^k; any other raises
-    ValueError (the CLI's operators have none, their product k/d turn)."""
+    at column (r - n) mod d, for any integer m and n, as X^d = Y^d = I. The
+    word's phase k/d turn folds into the powers as w^k."""
     d = word.params.d
     _check_dimension(d, word.n_parties, dim_ceiling)
-    k, rest = divmod(word.phase.numerator * d, word.phase.denominator)
-    if rest:
-        raise ValueError(f"phase {word.phase} turn is not a multiple of "
-                         f"1/{d} turn")
-    perm, power = [0], [k]
+    perm, power = [0], [word.phase]
     for m, n in word.exponents:
         cols = [(r - n) % d for r in range(d)]
         steps = [m * r % d for r in range(d)]
@@ -112,21 +108,21 @@ def monomial(word: WeylWord,
 
 
 def represent(word: WeylWord, dim_ceiling: int = DEFAULT_DIM_CEILING):
-    """The word's image as a dense D x D numpy matrix, for any phase, for
-    tests and small D; it imports numpy, and nothing in the CLI calls it."""
+    """The word's image as a dense D x D numpy matrix, for tests and small
+    D; it imports numpy, and nothing in the CLI calls it."""
     import numpy as np
 
-    mon = monomial(WeylWord(word.params, word.exponents), dim_ceiling)
+    mon = monomial(word, dim_ceiling)
     dim = len(mon.perm)
     mat = np.zeros((dim, dim), dtype=complex)
-    mat[np.arange(dim), mon.perm] = np.multiply(mon.coefficients(),
-                                                word.phase.to_complex())
+    mat[np.arange(dim), mon.perm] = mon.coefficients()
     return mat
 
 
 class OracleReport(_Frozen):
-    """The operators' images, the phase of their symbolic product (None if
-    it is not a scalar), and the exact checks' Frobenius norms."""
+    """The operators' images, the phase k/d turn of their symbolic product
+    as k mod d (None if it is not a scalar), and the exact checks'
+    Frobenius norms."""
 
     __slots__ = ("monomials", "product_phase", "dimension",
                  "max_commutator_norm", "product_deviation",
@@ -169,9 +165,10 @@ def _eigenvalues(mons, state: dict[int, int]) -> list[int]:
 
 
 def joint_eigenvector(report: OracleReport, seed: int = 0
-                      ) -> tuple[dict[int, int], list[RationalPhase]]:
-    """One simultaneous eigenvector of a commuting set, with its eigenvalues,
-    from the images and commutator norm of the set's `check_set` report.
+                      ) -> tuple[dict[int, int], list[int]]:
+    """One simultaneous eigenvector of a commuting set, with its eigenvalues
+    as k mod d^2 (turn k/d^2), from the images and commutator norm of the
+    set's `check_set` report.
 
     The vector is exact: basis index -> phase k (turn k/d^2), every entry
     of modulus 1/sqrt(len), the orbit of basis state x0 = seed mod D under
@@ -204,7 +201,7 @@ def joint_eigenvector(report: OracleReport, seed: int = 0
             piece = {perm[i]: (k + lam - d * power[i]) % dd
                      for i, k in piece.items()}
             vec.update(piece)
-    return vec, [RationalPhase(k, dd) for k in _eigenvalues(mons, vec)]
+    return vec, _eigenvalues(mons, vec)
 
 
 def ghz_comb_eigenvalues(op_set: OperatorSet) -> list[complex]:

@@ -20,8 +20,8 @@ import sys
 from collections.abc import Iterable, Sequence
 from math import comb as binomial
 
-from .weyl import (LatticeParams, WeylWord, _Frozen, commutation_phase,
-                   product)
+from .weyl import (LatticeParams, RationalPhase, WeylWord, _Frozen,
+                   commutation_phase, product)
 
 DEFAULT_SPACE_CEILING = 2e13
 
@@ -78,7 +78,8 @@ class ParadoxReport(_Frozen):
 
 
 def verify(op_set: OperatorSet) -> ParadoxReport:
-    """Run the three-condition paradox test and fill the full report.
+    """Run the three-condition paradox test and fill the full report, whose
+    pairwise phases are the ints mod d of `commutation_phase`.
 
     The product's exponents are the column sums, so one product decides
     conditions 2 and 3: the set is LHV-trivial exactly when the product is
@@ -89,8 +90,8 @@ def verify(op_set: OperatorSet) -> ParadoxReport:
     phases = tuple(
         tuple(commutation_phase(ops[i], ops[j]) for j in range(k))
         for i in range(k))
-    commuting = all(phases[i][j].is_zero
-                    for i in range(k) for j in range(i + 1, k))
+    commuting = not any(phases[i][j]
+                        for i in range(k) for j in range(i + 1, k))
     prod = product(ops)
     lhv_trivial = all(s == (0, 0) for s in prod.exponents)
     return ParadoxReport(
@@ -99,8 +100,9 @@ def verify(op_set: OperatorSet) -> ParadoxReport:
         product=prod,
         is_commuting=commuting,
         is_lhv_trivial=lhv_trivial,
-        product_phase=prod.phase if lhv_trivial else None,
-        is_paradox=commuting and lhv_trivial and not prod.phase.is_zero,
+        product_phase=(RationalPhase(prod.phase, op_set.params.d)
+                       if lhv_trivial else None),
+        is_paradox=commuting and lhv_trivial and prod.phase != 0,
     )
 
 

@@ -23,7 +23,8 @@ from operator import add, mul
 
 from . import oracle
 from .paradox import Refusal, builtin
-from .weyl import LatticeParams, WeylWord, _Frozen, identity_word
+from .weyl import (LatticeParams, RationalPhase, WeylWord, _Frozen,
+                   identity_word)
 
 OVERLAP_CUTOFF = 1e-16  # peak pairs below this Gaussian factor are dropped
 # Peaks per side of a comb. Beyond about 38.6 envelope widths a peak's
@@ -204,7 +205,8 @@ def _expectations(state: ProductStateSum,
                         memo[key] = comb_matrix_element(bra, ket, mu, shift)
                     val *= memo[key]
                 total += val
-        out.append(word.phase.to_complex() * total)
+        out.append(RationalPhase(word.phase, word.params.d).to_complex()
+                   * total)
     return out
 
 

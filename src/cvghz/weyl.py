@@ -8,8 +8,9 @@ where X = exp(i*a*x), Y = exp(i*b*p) are phase-space translations and the
 exponents are restricted to the commensurate lattice a0 = b0 = pi*sqrt(2/d).
 On that lattice the exchange X^{m a0} Y^{n b0} -> Y^{n b0} X^{m a0} costs the
 phase factor exp(-2*pi*i*m*n/d), so every phase generated by reordering is a
-rational number of turns and the whole algebra closes over exact rationals.
-No operation in this module touches floating point.
+whole number k of 1/d turns and the algebra closes over the integers mod d,
+as for the generalized Pauli group. Only `RationalPhase.to_complex` touches
+floating point.
 """
 
 from __future__ import annotations
@@ -77,7 +78,8 @@ class _Frozen:
 
 
 class RationalPhase(_Frozen):
-    """A phase angle as an exact fraction of one full turn, reduced mod 1.
+    """A phase angle as an exact fraction of one full turn, reduced mod 1,
+    for reports to print and convert; the algebra holds ints mod d.
 
     The represented scalar is exp(2*pi*i * numerator/denominator).
     Always stored reduced with 0 <= numerator/denominator < 1.
@@ -102,25 +104,12 @@ class RationalPhase(_Frozen):
 
         return Fraction(self.numerator, self.denominator)
 
-    @property
-    def is_zero(self) -> bool:
-        return self.numerator == 0
-
-    def __add__(self, other: RationalPhase) -> RationalPhase:
-        if not isinstance(other, RationalPhase):
-            return NotImplemented
-        a, b = self.denominator, other.denominator
-        return RationalPhase(self.numerator * b + other.numerator * a, a * b)
-
     def to_complex(self) -> complex:
         """The unit-modulus scalar this phase represents (floating point)."""
         return cmath.exp(2j * math.pi * self.numerator / self.denominator)
 
     def __str__(self) -> str:
         return f"{self.numerator}/{self.denominator}"
-
-
-ZERO_PHASE = RationalPhase(0)
 
 
 class LatticeParams(_Frozen):
@@ -142,17 +131,18 @@ class WeylWord(_Frozen):
     """Normal-ordered multi-party Weyl operator.
 
     `exponents[j] = (m_j, n_j)` places X_j^{m_j*a0} Y_j^{n_j*b0} on party j,
-    X left of Y. Equality of canonical forms is plain structural equality.
+    X left of Y, and the word carries the phase factor e^{2*pi*i*phase/d},
+    phase reduced into range(d). Equality of canonical forms is plain
+    structural equality.
     """
 
     __slots__ = ("params", "exponents", "phase")
 
     def __init__(self, params: LatticeParams,
-                 exponents: tuple[tuple[int, int], ...],
-                 phase: RationalPhase = ZERO_PHASE):
+                 exponents: tuple[tuple[int, int], ...], phase: int = 0):
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "exponents", exponents)
-        object.__setattr__(self, "phase", phase)
+        object.__setattr__(self, "phase", phase % params.d)
 
     @property
     def n_parties(self) -> int:
@@ -164,7 +154,7 @@ def identity_word(params: LatticeParams, n_parties: int) -> WeylWord:
 
 
 def _check_compatible(a: WeylWord, b: WeylWord) -> None:
-    if a.params != b.params:
+    if a.params.d != b.params.d:
         raise ValueError(f"mismatched lattice params: {a.params} vs {b.params}")
     if a.n_parties != b.n_parties:
         raise ValueError(
@@ -189,13 +179,12 @@ def symplectic(a, b) -> int:
 
 
 def multiply(a: WeylWord, b: WeylWord) -> WeylWord:
-    """Normal form of a*b: exponents add, phases add -crossing(a, b)/d."""
+    """Normal form of a*b: exponents add, phases add -crossing(a, b)."""
     _check_compatible(a, b)
     exps = tuple((ma + mb, na + nb)
                  for (ma, na), (mb, nb) in zip(a.exponents, b.exponents))
     cross = crossing(a.exponents, b.exponents)
-    phase = a.phase + b.phase + RationalPhase(-cross, a.params.d)
-    return WeylWord(a.params, exps, phase)
+    return WeylWord(a.params, exps, a.phase + b.phase - cross)
 
 
 def product(words) -> WeylWord:
@@ -209,16 +198,16 @@ def product(words) -> WeylWord:
     return acc
 
 
-def commutation_phase(a: WeylWord, b: WeylWord) -> RationalPhase:
-    """The phase phi with a*b = e^{2*pi*i*phi} * b*a.
+def commutation_phase(a: WeylWord, b: WeylWord) -> int:
+    """The k in range(d) with a*b = e^{2*pi*i*k/d} * b*a.
 
-    Equals symplectic(a, b)/d mod 1; zero iff a, b commute.
+    Equals symplectic(a, b) mod d; zero iff a, b commute.
     """
     _check_compatible(a, b)
-    return RationalPhase(symplectic(a.exponents, b.exponents), a.params.d)
+    return symplectic(a.exponents, b.exponents) % a.params.d
 
 
-def is_scalar(a: WeylWord) -> RationalPhase | None:
+def is_scalar(a: WeylWord) -> int | None:
     """The word's phase if it is a scalar multiple of the identity, else None."""
     if all(e == (0, 0) for e in a.exponents):
         return a.phase

@@ -1,17 +1,45 @@
 """Independent references that more than one test file checks against.
 
 `quadrature_check` integrates the comb wavefunctions on a grid, so it shares
-no code with the closed-form sums in `cvghz.states`. `dagger` and
-`lhv_value` are the adjoint and the classical value that the tests hold the
-algebra and the paradox verdicts to; the CLI needs neither.
+no code with the closed-form sums in `cvghz.states`; `product_in_turns` and
+`commutator_in_turns` reorder words in `fractions.Fraction` turns, sharing
+none with `cvghz.weyl`. `dagger` and `lhv_value` are the adjoint and the
+classical value that the tests hold the algebra and the paradox verdicts
+to; the CLI needs neither.
 """
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 
-from cvghz.weyl import RationalPhase, WeylWord, crossing
+from cvghz.weyl import WeylWord, crossing
+
+
+def product_in_turns(d: int, a, b):
+    """(exponent rows, phase) of the normal form of a*b, for words a and b
+    given as (exponent rows, phase), each phase a Fraction of a turn, the
+    result's reduced mod 1.
+
+    Per party, X^m Y^n X^m' Y^n' = e^{-2*pi*i*n*m'/d} X^(m+m') Y^(n+n'):
+    moving X^m' left past Y^n costs n*m'/d turn.
+    """
+    (rows_a, turns_a), (rows_b, turns_b) = a, b
+    rows, turns = [], turns_a + turns_b
+    for (m, n), (m2, n2) in zip(rows_a, rows_b, strict=True):
+        rows.append((m + m2, n + n2))
+        turns -= Fraction(n * m2, d)
+    return tuple(rows), turns % 1
+
+
+def commutator_in_turns(d: int, rows_a, rows_b) -> Fraction:
+    """The phi, a Fraction of a turn in [0, 1), with
+    a*b = e^{2*pi*i*phi} b*a: per party, X^m Y^n and X^m' Y^n' give
+    (m*n' - m'*n)/d turn."""
+    return sum((Fraction(m * n2 - m2 * n, d)
+                for (m, n), (m2, n2) in zip(rows_a, rows_b, strict=True)),
+               Fraction(0)) % 1
 
 
 def dagger(word: WeylWord) -> WeylWord:
@@ -19,14 +47,11 @@ def dagger(word: WeylWord) -> WeylWord:
 
     (X^m Y^n)^dag = Y^-n X^-m, and reordering that costs
     crossing(w, w) = sum m*n over the parties: the adjoint's phase is
-    -phase - crossing/d turns.
+    -phase - crossing, in 1/d turns.
     """
-    d, phase = word.params.d, word.phase
     cross = crossing(word.exponents, word.exponents)
     return WeylWord(word.params, tuple((-m, -n) for m, n in word.exponents),
-                    RationalPhase(-phase.numerator * d
-                                  - cross * phase.denominator,
-                                  phase.denominator * d))
+                    -word.phase - cross)
 
 
 def lhv_value(op_set, positions, momenta) -> complex:
@@ -91,4 +116,4 @@ def quadrature_check(state, word, n_points: int = 40001) -> complex:
                              * _comb_wavefunction(ket, x + shift))
                 val *= np.trapezoid(integrand, x)
             total += val
-    return word.phase.to_complex() * total
+    return cmath.exp(2j * math.pi * word.phase / word.params.d) * total

@@ -13,7 +13,7 @@ import pytest
 
 from cvghz import cli, oracle, paradox, states
 from cvghz.paradox import builtin, canonical_rows, search, verify
-from cvghz.weyl import (LatticeParams, RationalPhase, WeylWord, multiply)
+from cvghz.weyl import LatticeParams, RationalPhase, WeylWord, multiply
 from references import lhv_value, quadrature_check
 
 HALF = RationalPhase(1, 2)
@@ -30,10 +30,10 @@ def test_criterion_1_exact_v4_verification(capsys):
     data = json.loads(capsys.readouterr().out)
     assert code == 0
     report = verify(builtin("v4"))
-    # exact rational arithmetic: structural equality, no tolerances
+    # exact integer arithmetic: structural equality, no tolerances
     for i in range(4):
         for j in range(4):
-            assert report.pairwise_phases[i][j] == RationalPhase(0)
+            assert report.pairwise_phases[i][j] == 0
     assert report.column_sums == ((0, 0),) * 3
     assert report.product_phase == HALF
     assert data["product_phase"] == "1/2"
@@ -52,7 +52,7 @@ def test_criterion_2_exact_w6_verification(capsys):
     pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)]
     assert len(pairs) == 15
     for i, j in pairs:
-        assert report.pairwise_phases[i][j] == RationalPhase(0)
+        assert report.pairwise_phases[i][j] == 0
     assert report.product_phase == HALF
     assert elapsed < 1.0
     with capsys.disabled():
@@ -84,8 +84,7 @@ def test_criterion_4_oracle_equivalence(capsys):
             for _ in range(2):
                 exps = tuple((int(rng.integers(-4, 5)),
                               int(rng.integers(-4, 5))) for _ in range(n))
-                phase = RationalPhase(int(rng.integers(0, 2 * d)), 2 * d)
-                words.append(WeylWord(params, exps, phase))
+                words.append(WeylWord(params, exps, int(rng.integers(0, d))))
             a, b = words
             lhs = oracle.represent(multiply(a, b))
             rhs = oracle.represent(a) @ oracle.represent(b)
@@ -113,7 +112,7 @@ def test_criterion_4_oracle_equivalence(capsys):
 def test_criterion_5_eigenvalue_product(capsys):
     _, phases = oracle.joint_eigenvector(oracle.check_set(builtin("v4")),
                                          seed=0)
-    vals = [lam.to_complex() for lam in phases]
+    vals = [RationalPhase(k, 4).to_complex() for k in phases]  # k/d^2
     assert len(vals) == 4
     for v in vals:
         assert abs(abs(v) - 1) < 1e-8

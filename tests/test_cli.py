@@ -5,6 +5,7 @@ import gc
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -21,7 +22,6 @@ except ImportError:  # not on Windows
 import cvghz
 from cvghz import cli, oracle, orderly, paradox, states
 from cvghz.paradox import builtin
-from cvghz.weyl import RationalPhase
 
 
 def run(capsys, *argv):
@@ -102,6 +102,11 @@ def run_measured(tmp_path, argv, cap_mib=0, cpu_s=0):
     # ru_maxrss is in KiB on Linux and in bytes on macOS
     return (code, out.read_text(), err.read_text(),
             maxrss / (2 ** 20 if sys.platform == "darwin" else 2 ** 10))
+
+
+D6_REDUCED = {"name": "d6-reduced", "d": 6, "parties": 2,
+              "operators": [[[3, 0], [1, 0]], [[0, 1], [0, 0]],
+                            [[2, 0], [0, 1]]]}
 
 
 def forbid(monkeypatch, module, name):
@@ -267,8 +272,15 @@ class TestVerify:
          "76a48d5c21cb634128b2b888d7a564f7d2ce80073085f8586238c1a3e3d24b55"),
         ([{"d": 3, "parties": 2, "operators": [[[1, 2], [0, -1]]]}], 1, 244,
          "10b5c57fa6cd55cb289f1f5f4b6bcd5e5d9fe775b4db8716452c6c0dd622941c"),
+        # phases 2/6, 3/6 and 4/6 print reduced, and so does the 4/6 turn
+        # prefix of the non-scalar product
+        ([D6_REDUCED], 1, 292,
+         "07b35c9e509ca079266d760b6d4a2e7de370919d0788c54ae700b92c9f787c8b"),
+        ([D6_REDUCED, "--json"], 1, 495,
+         "76046b9684a65a10b30757f20e540c04937909bee197a98904742aed976e4a01"),
     ], ids=["v4", "w6-json", "d2-XY", "XX-YY-not-scalar",
-            "XX-YY-not-scalar-json", "phase-zero", "one-operator"])
+            "XX-YY-not-scalar-json", "phase-zero", "one-operator",
+            "d6-reduced", "d6-reduced-json"])
     def test_verify_listing_pinned(self, capsys, tmp_path, argv, code, size,
                                    digest):
         assert_pinned(capsys, tmp_path, ["verify", *argv], code, size, digest)
@@ -534,12 +546,13 @@ class TestOracle:
             assert out.endswith("  pass: True\n")
 
     def test_pass_needs_the_exact_eigenvalue_sum(self, capsys, monkeypatch):
-        # a quarter turn off one eigenvalue moves the sum off 1/2 turn
+        # a quarter turn off one eigenvalue, k/4 turn at d = 2, moves the
+        # sum off 1/2 turn
         real = oracle.joint_eigenvector
 
         def shifted(report, seed=0):
             vec, vals = real(report, seed)
-            return vec, [vals[0] + RationalPhase(1, 4), *vals[1:]]
+            return vec, [(vals[0] + 1) % 4, *vals[1:]]
 
         monkeypatch.setattr(oracle, "joint_eigenvector", shifted)
         code, out, err = run(capsys, "oracle", "--set", "v4")
@@ -897,6 +910,22 @@ def test_oracle_memory_is_bounded(tmp_path):
     assert out.startswith("  dimension: 65536\n")
     assert out.endswith("  pass: True\n")
     assert peak_mib < 70
+
+
+@needs_wait4
+def test_verify_memory_is_bounded(tmp_path):
+    # 500 operators: 250,000 pairwise phases, which as RationalPhase values
+    # took the run to near 28 MiB; as ints mod d it peaks below 22 MiB
+    rng = random.Random(0)
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps({"d": 2, "parties": 3, "operators": [
+        [[rng.randint(-1, 1), rng.randint(-1, 1)] for _ in range(3)]
+        for _ in range(500)]}))
+    code, out, err, peak_mib = run_measured(
+        tmp_path, ["verify", "--file", str(path)], cpu_s=30)
+    assert (code, err) == (1, "")
+    assert out.endswith("  GHZ paradox:         False\n")
+    assert peak_mib < 22
 
 
 @needs_wait4

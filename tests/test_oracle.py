@@ -24,7 +24,8 @@ def reference_represent(word):
     """The dense construction: np.kron over parties of X^m Y^n."""
     d = word.params.d
     omega = np.exp(2j * np.pi / d)
-    mat = np.array([[word.phase.to_complex()]], dtype=complex)
+    mat = np.array([[cmath.exp(2j * math.pi * word.phase / d)]],
+                   dtype=complex)
     for m, n in word.exponents:
         site = np.zeros((d, d), dtype=complex)
         cols = np.arange(d)
@@ -55,8 +56,7 @@ def random_word(rng, params, n_parties, max_exp=4):
     exps = tuple((int(rng.integers(-max_exp, max_exp + 1)),
                   int(rng.integers(-max_exp, max_exp + 1)))
                  for _ in range(n_parties))
-    phase = RationalPhase(int(rng.integers(0, 2 * params.d)), 2 * params.d)
-    return WeylWord(params, exps, phase)
+    return WeylWord(params, exps, int(rng.integers(0, params.d)))
 
 
 class TestClockShift:
@@ -99,8 +99,7 @@ def word_pairs(draw):
 
     def word():
         exps = tuple(draw(st.lists(pair, min_size=n, max_size=n)))
-        return WeylWord(LatticeParams(d), exps,
-                        RationalPhase(draw(st.integers(0, d - 1)), d))
+        return WeylWord(LatticeParams(d), exps, draw(st.integers(0, d - 1)))
     return word(), word()
 
 
@@ -119,15 +118,6 @@ class TestMonomial:
         assert (ma @ mb).distance(monomial(multiply(a, b))) == 0.0
         assert abs(ma.distance(mb) - np.linalg.norm(dense_a - dense_b)) < 1e-12
 
-    def test_phase_below_one_over_d_refused(self):
-        # a monomial's entries are powers of w, so a quarter turn at d = 2
-        # has no image; the dense `represent` still takes it
-        word = WeylWord(LatticeParams(2), ((1, 1),), RationalPhase(1, 4))
-        with pytest.raises(ValueError, match="phase 1/4 turn"):
-            monomial(word)
-        assert np.linalg.norm(represent(word)
-                              - reference_represent(word)) < 1e-12
-
 
 class TestRepresent:
     def test_identity(self):
@@ -135,7 +125,7 @@ class TestRepresent:
         assert np.linalg.norm(m - np.eye(9)) < 1e-15
 
     def test_global_phase(self):
-        w = WeylWord(LatticeParams(2), ((0, 0),), RationalPhase(1, 2))
+        w = WeylWord(LatticeParams(2), ((0, 0),), 1)  # 1/2 turn
         assert np.linalg.norm(represent(w) + np.eye(2)) < 1e-15
 
     def test_v4_product_is_minus_identity(self):
@@ -182,7 +172,7 @@ class TestRepresent:
             for _ in range(20):
                 a = random_word(rng, p, 2)
                 b = random_word(rng, p, 2)
-                phi = commutation_phase(a, b).to_complex()
+                phi = RationalPhase(commutation_phase(a, b), d).to_complex()
                 ma, mb = represent(a), represent(b)
                 assert np.linalg.norm(ma @ mb - phi * mb @ ma) < 1e-10
 
@@ -231,9 +221,9 @@ def dense_vector(support, dim, d):
 def eigenpair(op_set, seed=0):
     """joint_eigenvector of the set as a dense vector and complex values."""
     support, vals = joint_eigenvector(check_set(op_set), seed=seed)
-    return (dense_vector(support, op_set.params.d ** op_set.n_parties,
-                         op_set.params.d),
-            [lam.to_complex() for lam in vals])
+    d = op_set.params.d
+    return (dense_vector(support, d ** op_set.n_parties, d),
+            [RationalPhase(k, d * d).to_complex() for k in vals])
 
 
 def padded_v4():
@@ -306,7 +296,8 @@ class TestJointEigenvector:
         assert len(classes) == n_classes
         for seed, s in enumerate(classes):
             _, vals = joint_eigenvector(check_set(s), seed)
-            assert sum(vals, RationalPhase(0)) == verify(s).product_phase
+            assert RationalPhase(sum(vals), d * d) \
+                == verify(s).product_phase
             pair = OperatorSet(s.params, s.rows[:2])
             v, vals = eigenpair(pair, seed)
             for w, lam in zip(pair.operators, vals):
@@ -320,7 +311,8 @@ class TestJointEigenvector:
         _, vals = joint_eigenvector(check_set(set_from_rows(
             2048, [((1, 1),)])))
         assert time.perf_counter() - start < 1.0
-        assert vals == [RationalPhase(1, 4096)]
+        assert [RationalPhase(k, 2048 ** 2) for k in vals] \
+            == [RationalPhase(1, 4096)]
 
     def test_noncommuting_rejected(self):
         s = set_from_rows(2, [((1, 0),), ((0, 1),)])
@@ -370,7 +362,8 @@ def test_padded_v4_at_dimension_2_pow_16():
     assert report.max_commutator_norm < 1e-8
     assert report.product_deviation < 1e-8
     assert report.max_unitarity_defect < 1e-8
-    assert abs(np.prod([lam.to_complex() for lam in vals]) + 1) < 1e-8
+    assert abs(np.prod([RationalPhase(k, 4).to_complex() for k in vals])
+               + 1) < 1e-8
     # the orbit of one basis state: the 13 idle parties add nothing
     assert len(support) == 4
 

@@ -52,14 +52,14 @@ def unshared_expectation(state, word):
                 val *= reference_comb_matrix_element(
                     bra, ket, m * math.pi * base, n * base)
             total += val
-    return word.phase.to_complex() * total
+    return RationalPhase(word.phase, word.params.d).to_complex() * total
 
 
 def single_party_state(comb):
     return ProductStateSum(((1.0, (comb,)),))
 
 
-def word1(m, n, phase=RationalPhase(0)):
+def word1(m, n, phase=0):
     return WeylWord(D2, ((m, n),), phase)
 
 
@@ -236,7 +236,7 @@ class TestWeylExpectation:
 
     def test_word_phase_carried(self):
         state = single_party_state(make_comb("up", 0.05, 6, 5.0))
-        w = word1(0, 0, RationalPhase(1, 2))
+        w = word1(0, 0, 1)  # 1/2 turn
         assert abs(weyl_expectation(state, w) + 1) < 1e-12
 
     def test_shared_elements_match_unshared(self):
@@ -247,7 +247,7 @@ class TestWeylExpectation:
         state = ProductStateSum(((1.0, (c, c, d)), (0.5j, (d, c, c))))
         for exps in ([(0, 1), (0, -1), (0, 1)], [(1, 0), (-1, 0), (0, 0)],
                      [(1, 1), (1, -1), (-1, 1)]):
-            w = WeylWord(D2, tuple(exps), RationalPhase(1, 4))
+            w = WeylWord(D2, tuple(exps), 1)
             got = weyl_expectation(state, w)
             assert abs(got - unshared_expectation(state, w)) < 1e-12
 

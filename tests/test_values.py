@@ -14,28 +14,27 @@ from cvghz.weyl import LatticeParams, RationalPhase, WeylWord
 P2 = LatticeParams(2)
 COMB = GaussianComb(-0.5, (1 + 0j, 1j), 0.5)
 COMB_REPR = "GaussianComb(first=-0.5, weights=((1+0j), 1j), delta=0.5)"
-ZERO_REPR = "RationalPhase(numerator=0, denominator=1)"
 
 # (class, field values in order, repr as the frozen dataclasses printed it)
 CASES = [
     (RationalPhase, (3, 4), "RationalPhase(numerator=3, denominator=4)"),
     (LatticeParams, (2,), "LatticeParams(d=2)"),
-    (WeylWord, (P2, ((1, 0), (0, -1)), RationalPhase(1, 2)),
+    (WeylWord, (P2, ((1, 0), (0, -1)), 1),
      "WeylWord(params=LatticeParams(d=2), exponents=((1, 0), (0, -1)), "
-     "phase=RationalPhase(numerator=1, denominator=2))"),
+     "phase=1)"),
     (OperatorSet, (P2, (((1, 0),), ((-1, 0),)), "x"),
      "OperatorSet(params=LatticeParams(d=2), rows=(((1, 0),), ((-1, 0),)), "
      "name='x')"),
-    (ParadoxReport, (((RationalPhase(0),),), ((0, 0),),
-                     WeylWord(P2, ((0, 0),)), True, True, None, False),
-     f"ParadoxReport(pairwise_phases=(({ZERO_REPR},),), "
-     f"column_sums=((0, 0),), product=WeylWord(params=LatticeParams(d=2), "
-     f"exponents=((0, 0),), phase={ZERO_REPR}), is_commuting=True, "
-     f"is_lhv_trivial=True, product_phase=None, is_paradox=False)"),
-    (OracleReport, ((), RationalPhase(1, 2), 4, 0.0, 1e-16, 2.5e-17),
-     "OracleReport(monomials=(), product_phase=RationalPhase(numerator=1, "
-     "denominator=2), dimension=4, max_commutator_norm=0.0, "
-     "product_deviation=1e-16, max_unitarity_defect=2.5e-17)"),
+    (ParadoxReport, (((0,),), ((0, 0),), WeylWord(P2, ((0, 0),)), True, True,
+                     None, False),
+     "ParadoxReport(pairwise_phases=((0,),), column_sums=((0, 0),), "
+     "product=WeylWord(params=LatticeParams(d=2), exponents=((0, 0),), "
+     "phase=0), is_commuting=True, is_lhv_trivial=True, product_phase=None, "
+     "is_paradox=False)"),
+    (OracleReport, ((), 1, 4, 0.0, 1e-16, 2.5e-17),
+     "OracleReport(monomials=(), product_phase=1, dimension=4, "
+     "max_commutator_norm=0.0, product_deviation=1e-16, "
+     "max_unitarity_defect=2.5e-17)"),
     (GaussianComb, (-0.5, (1 + 0j, 1j), 0.5), COMB_REPR),
     (ProductStateSum, (((0.5 + 0j, (COMB,)),),),
      f"ProductStateSum(terms=(((0.5+0j), ({COMB_REPR},)),))"),
@@ -140,7 +139,11 @@ class TestSharedInit:
 
 def test_defaults():
     assert RationalPhase(5) == RationalPhase(5, 1) == RationalPhase(0)
-    assert WeylWord(P2, ((1, 0),)).phase == RationalPhase(0)
+    assert WeylWord(P2, ((1, 0),)).phase == 0
+    # reduced into range(d), so that equal words have equal fields
+    assert WeylWord(P2, ((1, 0),), -1) == WeylWord(P2, ((1, 0),), 3) \
+        == WeylWord(P2, ((1, 0),), 1)
+    assert WeylWord(P2, ((1, 0),), -1).phase == 1
     assert OperatorSet(P2, (((1, 0),),)).name is None
 
 
@@ -149,8 +152,7 @@ def test_unequal_values():
     phase = FIELDLESS[RationalPhase]
     assert phase(1, 4) != phase(3, 4)
     assert LatticeParams(2) != LatticeParams(3)
-    assert WeylWord(P2, ((1, 0),)) != WeylWord(P2, ((1, 0),),
-                                                RationalPhase(1, 2))
+    assert WeylWord(P2, ((1, 0),)) != WeylWord(P2, ((1, 0),), 1)
     assert OperatorSet(P2, (((1, 0),),)) != OperatorSet(P2, (((1, 0),),), "x")
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from cvghz.weyl import (LatticeParams, RationalPhase, WeylWord,
                         commutation_phase, crossing, identity_word,
                         is_scalar, multiply, product, symplectic)
-from references import dagger
+from references import commutator_in_turns, dagger, product_in_turns
 
 
 class TestRationalPhase:
@@ -18,11 +18,6 @@ class TestRationalPhase:
         assert (p.numerator, p.denominator) == (1, 2)
         assert RationalPhase(-1, 4) == RationalPhase(3, 4)
         assert RationalPhase(7, 7) == RationalPhase(0)
-
-    def test_arithmetic_is_exact(self):
-        a = RationalPhase(1, 3)
-        b = RationalPhase(1, 2)
-        assert (a + b).turns == Fraction(5, 6)
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):
@@ -33,18 +28,14 @@ class TestRationalPhase:
         with pytest.raises(ZeroDivisionError):
             RationalPhase(n, 0)
 
-    @given(st.integers(), st.integers().filter(bool),
-           st.integers(), st.integers().filter(bool))
+    @given(st.integers(), st.integers().filter(bool))
     @settings(max_examples=300)
-    def test_agrees_with_fraction_mod_one(self, n, d, n2, d2):
+    def test_agrees_with_fraction_mod_one(self, n, d):
         # every sign of numerator and denominator, reduced as Fraction does
-        f, g = Fraction(n, d) % 1, Fraction(n2, d2) % 1
-        p, q = RationalPhase(n, d), RationalPhase(n2, d2)
+        f = Fraction(n, d) % 1
+        p = RationalPhase(n, d)
         assert (p.numerator, p.denominator) == (f.numerator, f.denominator)
         assert p.turns == f
-        s = (f + g) % 1
-        assert ((p + q).numerator, (p + q).denominator) \
-            == (s.numerator, s.denominator)
 
     def test_to_complex(self):
         assert abs(RationalPhase(1, 2).to_complex() + 1) < 1e-15
@@ -68,7 +59,7 @@ class TestMultiply:
         y = WeylWord(p, ((0, 1),))
         w = multiply(x, y)
         assert w.exponents == ((1, 1),)
-        assert w.phase.is_zero
+        assert w.phase == 0
 
     def test_yx_picks_up_half_turn(self):
         p = LatticeParams(2)
@@ -76,7 +67,7 @@ class TestMultiply:
         y = WeylWord(p, ((0, 1),))
         w = multiply(y, x)
         assert w.exponents == ((1, 1),)
-        assert w.phase == RationalPhase(1, 2)
+        assert w.phase == 1  # 1/2 turn
 
     def test_mismatched_params_rejected(self):
         a = identity_word(LatticeParams(2), 1)
@@ -96,11 +87,11 @@ class TestDagger:
         w = WeylWord(LatticeParams(4), ((1, 0),))
         dw = dagger(w)
         assert dw.exponents == ((-1, 0),)
-        assert dw.phase.is_zero
+        assert dw.phase == 0
 
     def test_unitarity_mixed_word(self):
-        p = LatticeParams(2)
-        w = WeylWord(p, ((1, 1),), RationalPhase(1, 4))
+        p = LatticeParams(4)
+        w = WeylWord(p, ((1, 1),), 1)  # 1/4 turn
         assert multiply(w, dagger(w)) == identity_word(p, 1)
         assert multiply(dagger(w), w) == identity_word(p, 1)
 
@@ -110,22 +101,22 @@ class TestCommutationPhase:
         p = LatticeParams(2)
         x = WeylWord(p, ((1, 0),))
         y = WeylWord(p, ((0, 1),))
-        assert commutation_phase(x, y) == RationalPhase(1, 2)
+        assert commutation_phase(x, y) == 1  # 1/2 turn
 
     def test_d4_quarter_turn(self):
         p = LatticeParams(4)
         x = WeylWord(p, ((1, 0),))
         y = WeylWord(p, ((0, 1),))
-        assert commutation_phase(x, y) == RationalPhase(1, 4)
+        assert commutation_phase(x, y) == 1  # 1/4 turn
 
     def test_self_commutation(self):
         w = WeylWord(LatticeParams(3), ((2, -1), (0, 3)))
-        assert commutation_phase(w, w).is_zero
+        assert commutation_phase(w, w) == 0
 
 
 class TestIsScalar:
     def test_identity(self):
-        assert is_scalar(identity_word(LatticeParams(2), 3)) == RationalPhase(0)
+        assert is_scalar(identity_word(LatticeParams(2), 3)) == 0
 
     def test_nonscalar(self):
         x = WeylWord(LatticeParams(2), ((1, 0), (0, 0), (0, 0)))
@@ -138,7 +129,7 @@ class TestIsScalar:
     def test_v4_product(self):
         from cvghz.paradox import builtin
         prod = product(builtin("v4").operators)
-        assert is_scalar(prod) == RationalPhase(1, 2)
+        assert is_scalar(prod) == 1  # 1/2 turn
 
 
 # ---------------------------------------------------------------------------
@@ -151,15 +142,14 @@ def word_batch(draw, count):
     Exponents are small, so words often commute, or beyond +-2**63, where
     fixed-width integer arithmetic would wrap.
     """
-    d = draw(st.integers(min_value=2, max_value=5))
+    d = draw(st.integers(min_value=2, max_value=7))
     n = draw(st.integers(min_value=1, max_value=3))
     params = LatticeParams(d)
     exponent = st.integers(-4, 4) | st.integers(-2 ** 70, 2 ** 70)
     words = []
     for _ in range(count):
         exps = tuple((draw(exponent), draw(exponent)) for _ in range(n))
-        phase = RationalPhase(draw(st.integers(0, 2 * d - 1)), 2 * d)
-        words.append(WeylWord(params, exps, phase))
+        words.append(WeylWord(params, exps, draw(st.integers(0, d - 1))))
     return words
 
 
@@ -179,6 +169,21 @@ def test_exchange_law(words):
     rescaled = WeylWord(ba.params, ba.exponents,
                         ba.phase + commutation_phase(a, b))
     assert ab == rescaled
+
+
+@settings(max_examples=200, deadline=None)
+@given(word_batch(2))
+def test_algebra_matches_the_fraction_reference(words):
+    (a, b), d = words, words[0].params.d
+    ab = multiply(a, b)
+    assert ab.phase in range(d)
+    assert (ab.exponents, Fraction(ab.phase, d)) == product_in_turns(
+        d, (a.exponents, Fraction(a.phase, d)),
+        (b.exponents, Fraction(b.phase, d)))
+    phi = commutation_phase(a, b)
+    assert phi in range(d)
+    assert Fraction(phi, d) == commutator_in_turns(d, a.exponents,
+                                                   b.exponents)
 
 
 @settings(max_examples=200, deadline=None)
@@ -204,6 +209,6 @@ def test_d2_generator_squares_add_exactly():
         for e in (1, -1):
             g = WeylWord(p, ((e, 0),) if axis == "X" else ((0, e),))
             sq = multiply(g, g)
-            assert sq.phase.is_zero
+            assert sq.phase == 0
             expected = (2 * e, 0) if axis == "X" else (0, 2 * e)
             assert sq.exponents == (expected,)
