@@ -292,8 +292,6 @@ def _listing(d: int, results: list[OperatorSet]):
 def cmd_oracle(args) -> int:
     from . import oracle  # the checks need only the standard library
 
-    if not math.isfinite(args.tol):
-        raise InputError(f"--tol must be finite, got {args.tol}")
     if args.seed < 0:
         raise InputError(f"--seed must be >= 0, got {args.seed}")
     if args.max_dim is not None and args.max_dim < 1:
@@ -310,8 +308,8 @@ def cmd_oracle(args) -> int:
         "product_phase": (None if report.product_phase is None
                           else str(RationalPhase(report.product_phase, d))),
     }
-    ok = all(x < args.tol for x in (report.max_commutator_norm,
-             report.product_deviation, report.max_unitarity_defect))
+    # exact checks: both norms 0, and the eigenvalues' sum d * product_phase
+    ok = report.max_commutator_norm == report.product_deviation == 0
     if report.max_commutator_norm == 0:  # the solver's own gate
         _, vals = oracle.joint_eigenvector(report, seed=args.seed)
         dd = d * d  # each lambda, and so their sum, is k/d^2 turn
@@ -433,7 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", help="built-in set name (v4 or w6)")
     p.add_argument("--file", help="operator-set JSON file")
     p.add_argument("--max-dim", type=int)  # None: the oracle's default
-    p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--seed", type=int, default=0,
                    help="the joint eigenvector starts from basis state "
                    "seed mod D")

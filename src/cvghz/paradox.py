@@ -86,22 +86,22 @@ def verify(op_set: OperatorSet) -> ParadoxReport:
     a scalar, and then its phase is the product phase.
     """
     ops = op_set.operators
-    k = len(ops)
-    phases = tuple(
-        tuple(commutation_phase(ops[i], ops[j]) for j in range(k))
-        for i in range(k))
-    commuting = not any(phases[i][j]
-                        for i in range(k) for j in range(i + 1, k))
+    d, k = op_set.params.d, len(ops)
+    # each unordered pair once: the phase of (b, a) is minus that of (a, b)
+    phases = [[0] * k for _ in range(k)]
+    for i, j in itertools.combinations(range(k), 2):
+        phases[i][j] = commutation_phase(ops[i], ops[j])
+        phases[j][i] = -phases[i][j] % d
+    commuting = not any(map(any, phases))
     prod = product(ops)
     lhv_trivial = all(s == (0, 0) for s in prod.exponents)
     return ParadoxReport(
-        pairwise_phases=phases,
+        pairwise_phases=tuple(map(tuple, phases)),
         column_sums=prod.exponents,
         product=prod,
         is_commuting=commuting,
         is_lhv_trivial=lhv_trivial,
-        product_phase=(RationalPhase(prod.phase, op_set.params.d)
-                       if lhv_trivial else None),
+        product_phase=RationalPhase(prod.phase, d) if lhv_trivial else None,
         is_paradox=commuting and lhv_trivial and prod.phase != 0,
     )
 

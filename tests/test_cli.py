@@ -507,12 +507,39 @@ class TestOracle:
         assert err.startswith("input error: ") and err.count("\n") == 1
         assert "seed" in err
 
-    def test_non_finite_tol_exit_two(self, capsys):
-        for tol in ("nan", "inf", "-inf"):
-            code, out, err = run(capsys, "oracle", "--set", "v4",
-                                 f"--tol={tol}")
-            assert (code, out) == (2, ""), tol
-            assert "finite" in err
+    @pytest.mark.parametrize("tol", [["--tol=nan"], ["--tol", "0"],
+                                     ["--tol", "5"]], ids=["nan", "0", "5"])
+    def test_tol_is_unrecognized(self, capsys, tol):
+        # the verdict is exact, so no tolerance can move it
+        code, out, err = run(capsys, "oracle", "--set", "v4", *tol)
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --tol" in err
+
+    def test_pass_iff_verify_commutes(self, capsys, tmp_path):
+        # the images' exact checks against the symplectic form: for correct
+        # code the product always matches and the eigenvalue sum always
+        # equals d * product_phase, so only commutation decides. Entries
+        # are in [-3, 3]; every second set's last row is minus the sum of
+        # the others, so that its product is a scalar
+        rng = random.Random(35)
+        path = tmp_path / "set.json"
+        verdicts = []
+        for t in range(150):
+            d, parties = rng.randint(2, 5), rng.randint(1, 3)
+            rows = [[[rng.randint(-3, 3), rng.randint(-3, 3)]
+                     for _ in range(parties)]
+                    for _ in range(rng.randint(1, 5))]
+            if t % 2 and len(rows) > 1:
+                rows[-1] = [[-sum(row[p][q] for row in rows[:-1])
+                             for q in (0, 1)] for p in range(parties)]
+            path.write_text(json.dumps(
+                {"d": d, "parties": parties, "operators": rows}))
+            report = paradox.verify(paradox.set_from_rows(d, rows))
+            code, _, err = run(capsys, "oracle", "--file", str(path))
+            assert (code, err) == (1 - report.is_commuting, ""), (d, rows)
+            verdicts.append((report.is_commuting, report.is_paradox))
+        commuting, paradoxes = map(sum, zip(*verdicts))
+        assert 30 < commuting < 120 and paradoxes > 5
 
     def test_exponents_beyond_int64(self, capsys, tmp_path):
         # X^d = Y^d = I: adding a multiple of d = 2 changes no matrix

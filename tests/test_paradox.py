@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvghz import orderly
+from cvghz import orderly, paradox
 from cvghz.paradox import (OperatorSet, SearchSpaceError, builtin,
                            canonical_rows, search, set_from_rows, verify)
-from cvghz.weyl import LatticeParams, RationalPhase, WeylWord, symplectic
+from cvghz.weyl import (LatticeParams, RationalPhase, WeylWord,
+                        commutation_phase, symplectic)
 from references import lhv_value
 
 HALF = RationalPhase(1, 2)
@@ -134,6 +135,29 @@ class TestVerify:
         report = verify(perm)
         assert report.is_paradox == base.is_paradox
         assert report.product_phase == base.product_phase
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_pairwise_phases_are_every_ordered_pair(self, monkeypatch, seed):
+        # one commutation_phase call per unordered pair fills the matrix
+        calls = []
+
+        def counted(a, b):
+            calls.append((a, b))
+            return commutation_phase(a, b)
+
+        monkeypatch.setattr(paradox, "commutation_phase", counted)
+        rng = np.random.default_rng(seed)
+        d, n, k = 2 + seed, 3, 12
+        s = set_from_rows(d, rng.integers(-3, 4, (k, n, 2)).tolist())
+        phases = verify(s).pairwise_phases
+        assert len(calls) == k * (k - 1) // 2
+        ops = s.operators
+        assert phases == tuple(tuple(commutation_phase(a, b) for b in ops)
+                               for a in ops)
+        for i in range(k):
+            assert phases[i][i] == 0
+            for j in range(k):
+                assert phases[j][i] == -phases[i][j] % d
 
     @settings(max_examples=300, deadline=None)
     @given(verify_cases())
